@@ -13,6 +13,8 @@ fn bench_partitioners() {
     let battlefield = generators::hex_grid(32, 32);
     let big_random = generators::random_connected(1024, 4.0, 10, 7);
     let hex64 = generators::hex_grid_n(64);
+    let hex32k = generators::hex_grid_n(32_768);
+    let hex262k = generators::hex_grid_n(262_144);
 
     header("partition");
     bench("metis_hex64_k8", 20, || {
@@ -23,6 +25,13 @@ fn bench_partitioners() {
     });
     bench("metis_random1024_k16", 20, || {
         Metis::default().partition(black_box(&big_random), 16)
+    });
+    // The benchmark workloads' graphs: hex_bsp's and hex_out_of_core's.
+    bench("metis_hex32k_k8", 5, || {
+        Metis::default().partition(black_box(&hex32k), 8)
+    });
+    bench("metis_hex262k_k16", 3, || {
+        Metis::default().partition(black_box(&hex262k), 16)
     });
     bench("pagrid_battlefield_k16", 20, || {
         PaGrid::default().partition(black_box(&battlefield), 16)

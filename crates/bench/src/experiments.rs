@@ -1353,8 +1353,9 @@ pub fn out_of_core() -> Table {
     // heap, so the multilevel pipeline is n log n end to end and the real
     // partitioner handles the 10^6-node fine graph directly (the old
     // full-rescan refinement was quadratic per pass and forced a RowBand
-    // workaround here).
-    let partitioner = Metis::default();
+    // workaround here). Every row maps the same graph onto the same ranks,
+    // so the graph is partitioned once and all six rows reuse it.
+    let partitioner = w::Precomputed(Metis::default().partition(&graph, procs));
     let in_mem = w::run_reported(
         &graph,
         &program,

@@ -18,6 +18,31 @@ pub const BF_STEPS: [u32; 3] = [5, 15, 25];
 /// results over.
 pub const RANDOM_SEEDS: [u64; 5] = [0, 1, 2, 3, 4];
 
+/// A static partitioner that hands back a partition computed once up
+/// front, so experiments that run one graph under many configurations pay
+/// for the partitioner once instead of once per row.
+pub struct Precomputed(pub Partition);
+
+impl StaticPartitioner for Precomputed {
+    fn name(&self) -> &'static str {
+        "precomputed"
+    }
+
+    fn partition(&self, graph: &Graph, nparts: usize) -> Partition {
+        assert_eq!(
+            graph.num_nodes(),
+            self.0.len(),
+            "partition is for another graph"
+        );
+        assert_eq!(
+            nparts,
+            self.0.num_parts(),
+            "partition is for another rank count"
+        );
+        self.0.clone()
+    }
+}
+
 /// A hex-grid workload of the thesis's sizes (32/64/96 nodes).
 pub fn hex(n: usize) -> Graph {
     ic2_graph::generators::hex_grid_n(n)

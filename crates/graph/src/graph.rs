@@ -127,6 +127,42 @@ impl Graph {
         count == n
     }
 
+    /// Assemble a graph directly from CSR arrays: node `v`'s neighbours are
+    /// `adj[xadj[v]..xadj[v + 1]]`, with weights aligned in `ewgt`.
+    ///
+    /// The caller guarantees the [`Graph`] invariants: every adjacency run
+    /// strictly ascending, symmetric with matching weights, no self-loops.
+    /// This skips [`GraphBuilder`]'s edge list and per-node sort, for code
+    /// that derives a graph from another one and already emits sorted runs;
+    /// the invariants are checked in debug builds only.
+    ///
+    /// # Panics
+    /// Panics if the array lengths are inconsistent.
+    pub fn from_sorted_csr(
+        xadj: Vec<usize>,
+        adj: Vec<NodeId>,
+        ewgt: Vec<i64>,
+        vwgt: Vec<i64>,
+    ) -> Graph {
+        assert_eq!(xadj.first(), Some(&0), "xadj must start at 0");
+        assert_eq!(xadj.last(), Some(&adj.len()), "xadj must end at adj.len()");
+        assert_eq!(ewgt.len(), adj.len(), "ewgt length != adjacency length");
+        assert_eq!(
+            vwgt.len(),
+            xadj.len() - 1,
+            "vertex weight vector length mismatch"
+        );
+        let g = Graph {
+            xadj,
+            adj,
+            vwgt,
+            ewgt,
+            coords: None,
+        };
+        debug_assert_eq!(g.validate(), Ok(()));
+        g
+    }
+
     /// Check all structural invariants; returns a description of the first
     /// violation found.
     pub fn validate(&self) -> Result<(), String> {
@@ -245,14 +281,18 @@ impl GraphBuilder {
             ewgt[cursor[v as usize]] = w;
             cursor[v as usize] += 1;
         }
-        // Sort each adjacency run and detect duplicates.
+        // Sort each adjacency run and detect duplicates, through one
+        // scratch buffer reused across nodes.
+        let mut pairs: Vec<(NodeId, i64)> = Vec::new();
         for v in 0..n {
             let range = xadj[v]..xadj[v + 1];
-            let mut pairs: Vec<(NodeId, i64)> = adj[range.clone()]
-                .iter()
-                .copied()
-                .zip(ewgt[range.clone()].iter().copied())
-                .collect();
+            pairs.clear();
+            pairs.extend(
+                adj[range.clone()]
+                    .iter()
+                    .copied()
+                    .zip(ewgt[range].iter().copied()),
+            );
             pairs.sort_unstable_by_key(|&(w, _)| w);
             for window in pairs.windows(2) {
                 assert_ne!(
@@ -261,7 +301,7 @@ impl GraphBuilder {
                     window[0].0
                 );
             }
-            for (i, (w, ew)) in pairs.into_iter().enumerate() {
+            for (i, &(w, ew)) in pairs.iter().enumerate() {
                 adj[xadj[v] + i] = w;
                 ewgt[xadj[v] + i] = ew;
             }
@@ -372,6 +412,24 @@ mod tests {
         let mut b = GraphBuilder::new(2);
         b.edge(0, 2);
         b.build();
+    }
+
+    #[test]
+    fn sorted_csr_matches_builder() {
+        let g = triangle();
+        let csr = Graph::from_sorted_csr(
+            vec![0, 2, 4, 6],
+            vec![1, 2, 0, 2, 0, 1],
+            vec![1, 5, 1, 1, 5, 1],
+            vec![1, 1, 1],
+        );
+        assert_eq!(csr, g);
+    }
+
+    #[test]
+    #[should_panic(expected = "xadj must end")]
+    fn sorted_csr_rejects_short_adjacency() {
+        Graph::from_sorted_csr(vec![0, 1, 2], vec![1], vec![1], vec![1, 1]);
     }
 
     #[test]

@@ -1,21 +1,31 @@
-//! Multilevel k-way partitioner in the style of Metis \[KK98\].
+//! Multilevel recursive-bisection partitioner in the style of Metis
+//! \[KK98\].
 //!
-//! Structure follows the classic multilevel recipe the thesis relies on:
+//! Every bisection follows the classic multilevel recipe the thesis relies
+//! on:
 //!
 //! 1. **Coarsening** — heavy-edge matching contracts the graph until it is
 //!    small;
 //! 2. **Initial partitioning** — greedy graph-growing bisection from
 //!    several seeds, best cut kept;
 //! 3. **Uncoarsening** — the bisection is projected back level by level
-//!    with Fiduccia–Mattheyses boundary refinement at each level;
-//! 4. k-way partitions come from recursive bisection with proportional
-//!    weight targets, finished by a greedy k-way boundary refinement pass.
+//!    with Fiduccia–Mattheyses (FM) refinement at each level.
 //!
-//! Deterministic in [`Metis::seed`].
+//! A k-way partition comes from recursive bisection with proportional
+//! weight targets: each split induces the subgraph of its nodes and runs
+//! the three steps on it from scratch. A greedy k-way boundary pass then
+//! moves nodes between adjacent parts. (Real Metis coarsens once and
+//! refines k-way at every level; this code does not.)
+//!
+//! Deterministic in [`Metis::seed`]. Coarse levels and induced subgraphs
+//! are emitted directly as sorted CSR, FM orders its moves with packed
+//! integer heap keys, and scratch buffers are reused across the whole
+//! call; none of this changes a single partition.
 
 use crate::StaticPartitioner;
-use ic2_graph::{metrics, Graph, GraphBuilder, NodeId, Partition};
+use ic2_graph::{Graph, NodeId, Partition};
 use ic2_rng::SplitMix64;
+use std::collections::BinaryHeap;
 
 /// Multilevel recursive-bisection partitioner.
 #[derive(Debug, Clone, Copy)]
@@ -51,14 +61,15 @@ impl StaticPartitioner for Metis {
         let n = graph.num_nodes();
         let mut assignment = vec![0u32; n];
         if nparts > 1 && n > 0 {
-            let nodes: Vec<NodeId> = graph.nodes().collect();
-            let mut rng = SplitMix64::new(self.seed);
-            // Per-level balance windows compound over log2(k) bisection
-            // levels, so shrink each level's ε to keep the final k-way
-            // imbalance near the configured budget.
-            let levels = (nparts as f64).log2().ceil().max(1.0);
-            let eps = self.imbalance / levels;
-            self.split(graph, &nodes, 0, nparts, eps, &mut assignment, &mut rng);
+            // |FM gain| never exceeds the total edge weight, and neither
+            // coarsening nor induction raises that total, so this one check
+            // picks a gain-key width that is exact for the whole call.
+            let total_ewgt: i128 = graph.edges().map(|(_, _, w)| i128::from(w)).sum();
+            if total_ewgt <= i128::from(i32::MAX) {
+                self.recursive_bisection::<u64>(graph, nparts, &mut assignment);
+            } else {
+                self.recursive_bisection::<u128>(graph, nparts, &mut assignment);
+            }
         }
         let mut part = Partition::new(assignment, nparts);
         self.kway_refine(graph, &mut part);
@@ -66,19 +77,47 @@ impl StaticPartitioner for Metis {
     }
 }
 
+/// Per-call state threaded through the recursion: the random stream, the
+/// per-level imbalance budget and every reusable scratch buffer.
+struct Workspace<K> {
+    rng: SplitMix64,
+    eps: f64,
+    /// Parent-to-local id map for [`induce`]; all `u32::MAX` between uses.
+    local: Vec<u32>,
+    fm: FmBuffers<K>,
+}
+
 impl Metis {
-    /// Recursively bisect the subgraph induced by `nodes` into parts
-    /// `first_part..first_part + k`.
-    #[allow(clippy::too_many_arguments)]
-    fn split(
+    fn recursive_bisection<K: GainKey>(
+        &self,
+        graph: &Graph,
+        nparts: usize,
+        assignment: &mut [u32],
+    ) {
+        let nodes: Vec<NodeId> = graph.nodes().collect();
+        // Per-level balance windows compound over log2(k) bisection
+        // levels, so shrink each level's ε to keep the final k-way
+        // imbalance near the configured budget.
+        let levels = (nparts as f64).log2().ceil().max(1.0);
+        let mut ws = Workspace::<K> {
+            rng: SplitMix64::new(self.seed),
+            eps: self.imbalance / levels,
+            local: vec![u32::MAX; graph.num_nodes()],
+            fm: FmBuffers::default(),
+        };
+        self.split(graph, &nodes, 0, nparts, assignment, &mut ws);
+    }
+
+    /// Recursively bisect the subgraph induced by the ascending node list
+    /// `nodes` into parts `first_part..first_part + k`.
+    fn split<K: GainKey>(
         &self,
         graph: &Graph,
         nodes: &[NodeId],
         first_part: u32,
         k: usize,
-        eps: f64,
         assignment: &mut [u32],
-        rng: &mut SplitMix64,
+        ws: &mut Workspace<K>,
     ) {
         if k == 1 || nodes.is_empty() {
             for &v in nodes {
@@ -92,26 +131,27 @@ impl Metis {
         // (when enough nodes exist), or downstream parts end up empty.
         let ml = k_left.min(nodes.len());
         let mr = (k - k_left).min(nodes.len() - ml);
-        let (sub, back) = induce(graph, nodes);
-        let side = self.bisect(&sub, frac, eps, ml, mr, rng);
+        let sub = induce(graph, nodes, &mut ws.local);
+        let side = self.bisect(&sub, frac, ml, mr, ws);
+        drop(sub);
+        // Both halves stay ascending, as `induce` requires.
         let mut left = Vec::new();
         let mut right = Vec::new();
-        for (i, &s) in side.iter().enumerate() {
+        for (&v, &s) in nodes.iter().zip(&side) {
             if s {
-                left.push(back[i]);
+                left.push(v);
             } else {
-                right.push(back[i]);
+                right.push(v);
             }
         }
-        self.split(graph, &left, first_part, k_left, eps, assignment, rng);
+        self.split(graph, &left, first_part, k_left, assignment, ws);
         self.split(
             graph,
             &right,
             first_part + k_left as u32,
             k - k_left,
-            eps,
             assignment,
-            rng,
+            ws,
         );
     }
 
@@ -119,15 +159,13 @@ impl Metis {
     /// whose weight targets `frac` of the total. The left side receives at
     /// least `ml` nodes and the right at least `mr` (hosting floors from the
     /// recursive split).
-    #[allow(clippy::too_many_arguments)]
-    fn bisect(
+    fn bisect<K: GainKey>(
         &self,
         graph: &Graph,
         frac: f64,
-        eps: f64,
         ml: usize,
         mr: usize,
-        rng: &mut SplitMix64,
+        ws: &mut Workspace<K>,
     ) -> Vec<bool> {
         let n = graph.num_nodes();
         if n == 0 {
@@ -139,14 +177,14 @@ impl Metis {
         if n > self.coarsen_to {
             // Coarsen one level and recurse. Node-count floors only bind on
             // tiny graphs, so the coarse level just needs feasible values.
-            let (coarse, map) = coarsen(graph, rng);
+            let (coarse, map) = coarsen(graph, &mut ws.rng);
             if coarse.num_nodes() < n {
                 let cn = coarse.num_nodes();
                 let cml = ml.min(cn / 2);
                 let cmr = mr.min(cn - cml);
-                let coarse_side = self.bisect(&coarse, frac, eps, cml, cmr, rng);
-                let mut side: Vec<bool> = (0..n).map(|v| coarse_side[map[v] as usize]).collect();
-                fm_refine(graph, &mut side, frac, eps, ml, mr);
+                let coarse_side = self.bisect(&coarse, frac, cml, cmr, ws);
+                let mut side: Vec<bool> = map.iter().map(|&c| coarse_side[c as usize]).collect();
+                fm_refine(graph, &mut side, frac, ws.eps, ml, mr, &mut ws.fm);
                 return side;
             }
             // Matching failed to shrink the graph (e.g. star graphs);
@@ -154,9 +192,8 @@ impl Metis {
         }
         let mut best: Option<(i64, f64, Vec<bool>)> = None;
         for _ in 0..self.init_tries.max(1) {
-            let mut side = grow_bisection(graph, frac, ml, mr, rng);
-            fm_refine(graph, &mut side, frac, eps, ml, mr);
-            let cut = cut_of(graph, &side);
+            let mut side = grow_bisection(graph, frac, ml, mr, &mut ws.rng);
+            let cut = fm_refine(graph, &mut side, frac, ws.eps, ml, mr, &mut ws.fm);
             let dev = balance_deviation(graph, &side, frac);
             if best
                 .as_ref()
@@ -170,6 +207,13 @@ impl Metis {
 
     /// Greedy k-way boundary refinement: move boundary nodes to adjacent
     /// parts when it reduces the cut without breaking balance.
+    ///
+    /// Moving `v` from `home` to `p` changes the cut by
+    /// `conn[home] - conn[p]`, where `conn[q]` is the weight of `v`'s edges
+    /// into part `q`. One sweep over `v`'s adjacency fills `conn`, so each
+    /// node costs O(deg) rather than a full gain recount per neighbour.
+    /// Candidates are still visited in neighbour order with strict
+    /// improvement, which keeps the first-best tie-break.
     fn kway_refine(&self, graph: &Graph, part: &mut Partition) {
         let k = part.num_parts();
         if k < 2 || graph.num_nodes() < 2 {
@@ -180,6 +224,7 @@ impl Metis {
         let cap = (ideal * (1.0 + self.imbalance)).ceil() as i64;
         let mut loads = part.loads(graph);
         let mut counts = part.counts();
+        let mut conn = vec![0i64; k];
         for _pass in 0..4 {
             let mut moved = 0;
             for v in graph.nodes() {
@@ -190,6 +235,8 @@ impl Metis {
                 if counts[home as usize] <= 1 {
                     continue;
                 }
+                fill_conn(graph, part, v, &mut conn);
+                let vw = graph.vertex_weight(v);
                 // Candidate parts: those of v's neighbours.
                 let mut best: Option<(i64, u32)> = None;
                 for &w in graph.neighbors(v) {
@@ -197,16 +244,15 @@ impl Metis {
                     if p == home {
                         continue;
                     }
-                    let gain = metrics::move_gain(graph, part, v, p);
-                    let vw = graph.vertex_weight(v);
+                    let gain = conn[home as usize] - conn[p as usize];
                     let fits = loads[p as usize] + vw <= cap
                         || loads[p as usize] + vw < loads[home as usize];
                     if gain < 0 && fits && best.is_none_or(|(bg, _)| gain < bg) {
                         best = Some((gain, p));
                     }
                 }
+                clear_conn(graph, part, v, &mut conn);
                 if let Some((_, p)) = best {
-                    let vw = graph.vertex_weight(v);
                     loads[home as usize] -= vw;
                     loads[p as usize] += vw;
                     counts[home as usize] -= 1;
@@ -230,6 +276,7 @@ impl Metis {
                 if loads[home as usize] <= cap || counts[home as usize] <= 1 {
                     continue;
                 }
+                fill_conn(graph, part, v, &mut conn);
                 let vw = graph.vertex_weight(v);
                 let mut best: Option<(i64, i64, u32)> = None;
                 for &w in graph.neighbors(v) {
@@ -237,12 +284,13 @@ impl Metis {
                     if p == home || loads[p as usize] + vw >= loads[home as usize] {
                         continue;
                     }
-                    let gain = metrics::move_gain(graph, part, v, p);
+                    let gain = conn[home as usize] - conn[p as usize];
                     let key = (gain, loads[p as usize]);
                     if best.is_none_or(|(bg, bl, _)| key < (bg, bl)) {
                         best = Some((gain, loads[p as usize], p));
                     }
                 }
+                clear_conn(graph, part, v, &mut conn);
                 if let Some((_, _, p)) = best {
                     loads[home as usize] -= vw;
                     loads[p as usize] += vw;
@@ -259,26 +307,51 @@ impl Metis {
     }
 }
 
-/// Extract the subgraph induced by `nodes`; returns it plus the
-/// local-to-parent id map.
-fn induce(graph: &Graph, nodes: &[NodeId]) -> (Graph, Vec<NodeId>) {
-    let mut local = vec![u32::MAX; graph.num_nodes()];
+/// Add the weight of each of `v`'s edges to `conn[part of the far end]`.
+fn fill_conn(graph: &Graph, part: &Partition, v: NodeId, conn: &mut [i64]) {
+    for (&w, &ew) in graph.neighbors(v).iter().zip(graph.edge_weights(v)) {
+        conn[part.part_of(w) as usize] += ew;
+    }
+}
+
+/// Reset the entries [`fill_conn`] touched, leaving `conn` all zero.
+fn clear_conn(graph: &Graph, part: &Partition, v: NodeId, conn: &mut [i64]) {
+    for &w in graph.neighbors(v) {
+        conn[part.part_of(w) as usize] = 0;
+    }
+}
+
+/// Extract the subgraph induced by the ascending node list `nodes`; local
+/// id `i` is `nodes[i]`. `local` is a parent-sized map that must be all
+/// `u32::MAX` on entry and is left that way.
+///
+/// Because `nodes` ascends, the parent-to-local map is monotone and each
+/// filtered parent adjacency run stays sorted, so the CSR arrays are
+/// emitted directly.
+fn induce(graph: &Graph, nodes: &[NodeId], local: &mut [u32]) -> Graph {
+    debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "nodes must ascend");
     for (i, &v) in nodes.iter().enumerate() {
         local[v as usize] = i as u32;
     }
-    let mut b = GraphBuilder::new(nodes.len());
-    let mut vwgt = Vec::with_capacity(nodes.len());
-    for (i, &v) in nodes.iter().enumerate() {
-        vwgt.push(graph.vertex_weight(v));
+    let mut xadj = Vec::with_capacity(nodes.len() + 1);
+    xadj.push(0);
+    let mut adj = Vec::new();
+    let mut ewgt = Vec::new();
+    for &v in nodes {
         for (&w, &ew) in graph.neighbors(v).iter().zip(graph.edge_weights(v)) {
             let lw = local[w as usize];
-            if lw != u32::MAX && (i as u32) < lw {
-                b.weighted_edge(i as u32, lw, ew);
+            if lw != u32::MAX {
+                adj.push(lw);
+                ewgt.push(ew);
             }
         }
+        xadj.push(adj.len());
     }
-    b.vertex_weights(vwgt);
-    (b.build(), nodes.to_vec())
+    let vwgt = nodes.iter().map(|&v| graph.vertex_weight(v)).collect();
+    for &v in nodes {
+        local[v as usize] = u32::MAX;
+    }
+    Graph::from_sorted_csr(xadj, adj, ewgt, vwgt)
 }
 
 /// One level of heavy-edge matching coarsening. Returns the coarse graph
@@ -287,60 +360,81 @@ fn coarsen(graph: &Graph, rng: &mut SplitMix64) -> (Graph, Vec<u32>) {
     let n = graph.num_nodes();
     let mut order: Vec<NodeId> = graph.nodes().collect();
     rng.shuffle(&mut order);
-    let mut matched = vec![u32::MAX; n];
+    // A fine vertex is matched once it has a coarse id.
     let mut coarse_id = vec![u32::MAX; n];
-    let mut next = 0u32;
+    // The fine vertices of each coarse vertex, in coarse-id order (a
+    // singleton is recorded as `(v, v)`).
+    let mut members: Vec<(NodeId, NodeId)> = Vec::with_capacity(n / 2 + 1);
     for &v in &order {
-        if matched[v as usize] != u32::MAX {
+        if coarse_id[v as usize] != u32::MAX {
             continue;
         }
         // Heaviest unmatched neighbour.
         let mut best: Option<(i64, NodeId)> = None;
         for (&w, &ew) in graph.neighbors(v).iter().zip(graph.edge_weights(v)) {
-            if matched[w as usize] == u32::MAX
+            if coarse_id[w as usize] == u32::MAX
                 && best
                     .is_none_or(|(bw, bn)| (ew, std::cmp::Reverse(w)) > (bw, std::cmp::Reverse(bn)))
             {
                 best = Some((ew, w));
             }
         }
-        match best {
-            Some((_, w)) => {
-                matched[v as usize] = w;
-                matched[w as usize] = v;
-                coarse_id[v as usize] = next;
-                coarse_id[w as usize] = next;
-            }
-            None => {
-                matched[v as usize] = v;
-                coarse_id[v as usize] = next;
+        let c = members.len() as u32;
+        let w = best.map_or(v, |(_, w)| w);
+        coarse_id[v as usize] = c;
+        coarse_id[w as usize] = c;
+        members.push((v, w));
+    }
+    // Build the coarse CSR one vertex at a time. `slot[c']` remembers where
+    // the current run holds the edge to `c'`, so parallel fine edges merge
+    // by adding weights; a slot from an earlier run falls outside the
+    // current run's range and is simply overwritten.
+    let cn = members.len();
+    let mut xadj = Vec::with_capacity(cn + 1);
+    xadj.push(0);
+    let mut adj: Vec<NodeId> = Vec::with_capacity(2 * graph.num_edges());
+    let mut ewgt: Vec<i64> = Vec::with_capacity(2 * graph.num_edges());
+    let mut vwgt = Vec::with_capacity(cn);
+    let mut slot = vec![usize::MAX; cn];
+    let mut run: Vec<(NodeId, i64)> = Vec::new();
+    for (c, &(a, b)) in members.iter().enumerate() {
+        let start = adj.len();
+        let pair = [a, b];
+        let fine = if a == b { &pair[..1] } else { &pair[..] };
+        let mut weight = 0;
+        for &u in fine {
+            weight += graph.vertex_weight(u);
+            for (&w, &ew) in graph.neighbors(u).iter().zip(graph.edge_weights(u)) {
+                let cw = coarse_id[w as usize];
+                if cw as usize == c {
+                    continue;
+                }
+                let s = slot[cw as usize];
+                if (start..adj.len()).contains(&s) {
+                    ewgt[s] += ew;
+                } else {
+                    slot[cw as usize] = adj.len();
+                    adj.push(cw);
+                    ewgt.push(ew);
+                }
             }
         }
-        next += 1;
-    }
-    // Accumulate coarse vertex weights and combined edges.
-    let cn = next as usize;
-    let mut vwgt = vec![0i64; cn];
-    for v in graph.nodes() {
-        vwgt[coarse_id[v as usize] as usize] += graph.vertex_weight(v);
-    }
-    let mut edge_acc: std::collections::HashMap<(u32, u32), i64> = std::collections::HashMap::new();
-    for (u, v, w) in graph.edges() {
-        let cu = coarse_id[u as usize];
-        let cv = coarse_id[v as usize];
-        if cu != cv {
-            let key = (cu.min(cv), cu.max(cv));
-            *edge_acc.entry(key).or_insert(0) += w;
+        vwgt.push(weight);
+        run.clear();
+        run.extend(
+            adj[start..]
+                .iter()
+                .copied()
+                .zip(ewgt[start..].iter().copied()),
+        );
+        run.sort_unstable_by_key(|&(w, _)| w);
+        for (i, &(w, ew)) in run.iter().enumerate() {
+            adj[start + i] = w;
+            ewgt[start + i] = ew;
         }
+        xadj.push(adj.len());
     }
-    let mut b = GraphBuilder::new(cn);
-    let mut keys: Vec<_> = edge_acc.into_iter().collect();
-    keys.sort_unstable();
-    for ((u, v), w) in keys {
-        b.weighted_edge(u, v, w);
-    }
-    b.vertex_weights(vwgt);
-    (b.build(), coarse_id)
+    (Graph::from_sorted_csr(xadj, adj, ewgt, vwgt), coarse_id)
 }
 
 /// Greedy graph-growing bisection: BFS-grow a region from a random seed,
@@ -418,26 +512,83 @@ fn balance_deviation(graph: &Graph, side: &[bool], frac: f64) -> f64 {
     (left as f64 - total * frac).abs()
 }
 
+/// A max-heap key that orders exactly like `(gain, Reverse(v))`: higher
+/// gain first, ties to the lower node id. Packing both into one integer
+/// makes every heap comparison a single integer compare.
+trait GainKey: Ord + Copy + Default {
+    fn pack(gain: i64, v: NodeId) -> Self;
+    fn unpack(self) -> (i64, NodeId);
+}
+
+/// 8 bytes: the gain as a sign-flipped `i32` above `!v`. Exact only while
+/// every |gain| fits in an `i32`, which [`Metis::partition`] guarantees
+/// before choosing this width.
+impl GainKey for u64 {
+    fn pack(gain: i64, v: NodeId) -> u64 {
+        debug_assert!(
+            i32::try_from(gain).is_ok(),
+            "gain {gain} overflows a 32-bit key"
+        );
+        (u64::from(gain as i32 as u32 ^ (1 << 31)) << 32) | u64::from(!v)
+    }
+    fn unpack(self) -> (i64, NodeId) {
+        (
+            i64::from(((self >> 32) as u32 ^ (1 << 31)) as i32),
+            !(self as u32),
+        )
+    }
+}
+
+/// 16 bytes: the full `i64` gain, sign-flipped, above `!v`. Exact for any
+/// gain.
+impl GainKey for u128 {
+    fn pack(gain: i64, v: NodeId) -> u128 {
+        (u128::from(gain as u64 ^ (1 << 63)) << 32) | u128::from(!v)
+    }
+    fn unpack(self) -> (i64, NodeId) {
+        (((self >> 32) as u64 ^ (1 << 63)) as i64, !(self as u32))
+    }
+}
+
+/// Scratch buffers for [`fm_refine`], grown on first use and reused by
+/// every pass of every call.
+#[derive(Default)]
+struct FmBuffers<K> {
+    gain: Vec<i64>,
+    locked: Vec<bool>,
+    history: Vec<NodeId>,
+    heap: Vec<K>,
+    stash: Vec<K>,
+}
+
 /// Fiduccia–Mattheyses style 2-way refinement with rollback to the best
-/// configuration seen in each pass. Moves must keep the left side's node
-/// count in `[ml, n - mr]` and its weight within the balance window — or
-/// strictly improve the weight deviation (so a skewed starting point can be
-/// repaired).
+/// configuration seen in each pass; returns the final cut. Moves must keep
+/// the left side's node count in `[ml, n - mr]` and its weight within the
+/// balance window — or strictly improve the weight deviation (so a skewed
+/// starting point can be repaired).
 ///
 /// Move selection uses the classic FM gain structure — a lazily-invalidated
-/// max-heap keyed `(gain, Reverse(v))` — maintained incrementally as moves
-/// update neighbour gains. Each step therefore costs `O(log n)` amortised
-/// rather than the full `O(n)` rescan a naive implementation performs,
-/// which is the difference between quadratic and `n log n` passes and what
-/// lets refinement handle million-node graphs. The heap pops in exactly the
-/// order the full scan maximised, so the move sequence (and thus every
-/// partition produced) is bit-identical to the scan's.
-fn fm_refine(graph: &Graph, side: &mut [bool], frac: f64, eps: f64, ml: usize, mr: usize) {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+/// max-heap keyed `(gain, Reverse(v))`, packed into one integer `K` —
+/// maintained incrementally as moves update neighbour gains. Each step
+/// therefore costs `O(log n)` amortised rather than the full `O(n)` rescan
+/// a naive implementation performs, which is the difference between
+/// quadratic and `n log n` passes and what lets refinement handle
+/// million-node graphs. The heap pops in exactly the order the full scan
+/// maximised, so the move sequence (and thus every partition produced) is
+/// bit-identical to the scan's.
+#[allow(clippy::too_many_arguments)]
+fn fm_refine<K: GainKey>(
+    graph: &Graph,
+    side: &mut [bool],
+    frac: f64,
+    eps: f64,
+    ml: usize,
+    mr: usize,
+    buf: &mut FmBuffers<K>,
+) -> i64 {
     let n = graph.num_nodes();
     if n < 2 {
-        return;
+        return 0;
     }
     let total = graph.total_vertex_weight();
     let target = total as f64 * frac;
@@ -454,22 +605,37 @@ fn fm_refine(graph: &Graph, side: &mut [bool], frac: f64, eps: f64, ml: usize, m
         .map(|v| graph.vertex_weight(v))
         .sum();
     let mut left_count = side.iter().filter(|&&s| s).count();
+    // Each pass ends rolled back to its best prefix, whose cut it tracked
+    // exactly, so only the first pass needs a scan.
+    let mut cut = cut_of(graph, side);
+    let FmBuffers {
+        gain,
+        locked,
+        history,
+        heap: heap_buf,
+        stash,
+    } = buf;
 
     for _pass in 0..8 {
         // gain(v) = cut reduction if v switches sides.
-        let mut gain = vec![0i64; n];
-        for v in graph.nodes() {
+        gain.clear();
+        gain.extend(graph.nodes().map(|v| {
+            let s = side[v as usize];
+            let mut g = 0i64;
             for (&w, &ew) in graph.neighbors(v).iter().zip(graph.edge_weights(v)) {
-                if side[v as usize] != side[w as usize] {
-                    gain[v as usize] += ew;
+                if side[w as usize] != s {
+                    g += ew;
                 } else {
-                    gain[v as usize] -= ew;
+                    g -= ew;
                 }
             }
-        }
-        let mut locked = vec![false; n];
-        let mut history: Vec<NodeId> = Vec::new();
-        let mut cur_cut = cut_of(graph, side);
+            g
+        }));
+        locked.clear();
+        locked.resize(n, false);
+        history.clear();
+        stash.clear();
+        let mut cur_cut = cut;
         let mut best_cut = cur_cut;
         let mut best_dev = (left_weight as f64 - target).abs();
         let mut best_len = 0usize;
@@ -481,11 +647,9 @@ fn fm_refine(graph: &Graph, side: &mut [bool], frac: f64, eps: f64, ml: usize, m
         // skipped at pop (the update that changed the gain pushed a fresh
         // entry). Every unlocked vertex always has a fresh entry somewhere
         // in the heap, so the first fresh pop is the true argmax.
-        let mut heap: BinaryHeap<(i64, Reverse<NodeId>)> = graph
-            .nodes()
-            .map(|v| (gain[v as usize], Reverse(v)))
-            .collect();
-        let mut stash: Vec<(i64, Reverse<NodeId>)> = Vec::new();
+        heap_buf.clear();
+        heap_buf.extend(graph.nodes().map(|v| K::pack(gain[v as usize], v)));
+        let mut heap = BinaryHeap::from(std::mem::take(heap_buf));
 
         for _step in 0..n {
             let cur_dev = (cur_weight as f64 - target).abs();
@@ -497,7 +661,8 @@ fn fm_refine(graph: &Graph, side: &mut [bool], frac: f64, eps: f64, ml: usize, m
             // feasible pop maximises (gain, Reverse(v)) over exactly the
             // vertices the old full scan considered.
             let mut pick: Option<(i64, NodeId)> = None;
-            while let Some((g, Reverse(v))) = heap.pop() {
+            while let Some(key) = heap.pop() {
+                let (g, v) = key.unpack();
                 if locked[v as usize] || g != gain[v as usize] {
                     continue;
                 }
@@ -515,7 +680,7 @@ fn fm_refine(graph: &Graph, side: &mut [bool], frac: f64, eps: f64, ml: usize, m
                     pick = Some((g, v));
                     break;
                 }
-                stash.push((g, Reverse(v)));
+                stash.push(key);
             }
             let Some((g, v)) = pick else { break };
             // Apply the move.
@@ -539,7 +704,7 @@ fn fm_refine(graph: &Graph, side: &mut [bool], frac: f64, eps: f64, ml: usize, m
                     gain[w as usize] += 2 * ew;
                 }
                 if !locked[w as usize] {
-                    heap.push((gain[w as usize], Reverse(w)));
+                    heap.push(K::pack(gain[w as usize], w));
                 }
             }
             // Stashed entries whose gain a neighbour update just changed
@@ -563,6 +728,7 @@ fn fm_refine(graph: &Graph, side: &mut [bool], frac: f64, eps: f64, ml: usize, m
                 best_len = history.len();
             }
         }
+        *heap_buf = heap.into_vec();
         // Roll back past the best prefix.
         for &v in history[best_len..].iter().rev() {
             let vw = graph.vertex_weight(v);
@@ -577,16 +743,19 @@ fn fm_refine(graph: &Graph, side: &mut [bool], frac: f64, eps: f64, ml: usize, m
         }
         left_weight = cur_weight;
         left_count = cur_count;
+        cut = best_cut;
         if best_len == 0 {
             break;
         }
     }
+    cut
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ic2_graph::generators::{hex_grid, thesis_random_graph, torus};
+    use ic2_graph::{metrics, GraphBuilder};
 
     fn check_quality(graph: &Graph, k: usize, max_imbalance: f64) -> i64 {
         let part = Metis::default().partition(graph, k);
@@ -734,6 +903,53 @@ mod tests {
         assert!(cut * 3 < rr, "cut {cut} vs round-robin {rr}");
     }
 
+    /// Both key widths must round-trip and order exactly like the
+    /// `(gain, Reverse(v))` tuple they replace.
+    fn check_key_order<K: GainKey + std::fmt::Debug>(gains: &[i64]) {
+        use std::cmp::Reverse;
+        let ids = [0, 1, 2, 77, u32::MAX - 1, u32::MAX];
+        let pairs: Vec<(i64, NodeId)> = gains
+            .iter()
+            .flat_map(|&g| ids.iter().map(move |&v| (g, v)))
+            .collect();
+        for &(g, v) in &pairs {
+            assert_eq!(K::pack(g, v).unpack(), (g, v));
+            for &(h, w) in &pairs {
+                assert_eq!(
+                    K::pack(g, v).cmp(&K::pack(h, w)),
+                    (g, Reverse(v)).cmp(&(h, Reverse(w))),
+                    "({g},{v}) vs ({h},{w})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gain_keys_order_like_tuples() {
+        let narrow = [
+            i64::from(i32::MIN),
+            -70_000,
+            -2,
+            -1,
+            0,
+            1,
+            2,
+            6,
+            i64::from(i32::MAX),
+        ];
+        check_key_order::<u64>(&narrow);
+        let wide = [
+            i64::MIN,
+            -(1 << 41),
+            i64::from(i32::MIN) - 1,
+            0,
+            1 << 40,
+            i64::MAX,
+        ];
+        check_key_order::<u128>(&narrow);
+        check_key_order::<u128>(&wide);
+    }
+
     #[test]
     fn fm_refine_fixes_a_bad_split() {
         // Two 4-cliques joined by one edge, split the worst way.
@@ -748,7 +964,16 @@ mod tests {
         let g = b.build();
         // Interleaved start: cut = everything.
         let mut side = vec![true, false, true, false, true, false, true, false];
-        fm_refine(&g, &mut side, 0.5, 0.05, 1, 1);
+        let cut = fm_refine(
+            &g,
+            &mut side,
+            0.5,
+            0.05,
+            1,
+            1,
+            &mut FmBuffers::<u64>::default(),
+        );
+        assert_eq!(cut, 1, "sides {side:?}");
         assert_eq!(cut_of(&g, &side), 1, "sides {side:?}");
     }
 }
