@@ -1,26 +1,25 @@
 //! The platform driver: system flow of control (thesis Figure 6).
 
+use crate::checkpoint::Counters;
 use crate::costs::CostModel;
+use crate::engine::Tally;
 use crate::error::PlatformError;
-use crate::exchange;
 pub use crate::exchange::ExchangeMode;
-use crate::imbalance::StragglerDetector;
 use crate::migrate;
 use crate::paging::{EvictionPolicy, PageConfig, PageCounters};
-use crate::program::{ComputeCtx, NodeProgram};
-use crate::store::NodeStore;
+use crate::program::NodeProgram;
 use crate::timers::{Phase, PhaseTimers};
 use ic2_balance::DynamicBalancer;
 use ic2_graph::{Graph, Partition};
 use ic2_partition::StaticPartitioner;
-use mpisim::trace::{RankTrace, TraceCollector, ITERATION_SPAN};
-use mpisim::{ArgValue, CommStats, FaultStats, Rank, World};
+use mpisim::trace::{RankTrace, TraceCollector};
+use mpisim::{CommStats, FaultStats, World};
 use std::sync::Arc;
 
 /// How iterations are synchronised across ranks.
 ///
 /// The split the policy leans on already exists in every
-/// [`NodeStore`]: *interior* nodes (`internal`) have no remote
+/// [`crate::store::NodeStore`]: *interior* nodes (`internal`) have no remote
 /// neighbours, *boundary* nodes (`peripheral`) do, and `rebuild_lists`
 /// recomputes the split after every migration, evacuation, and restore.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -92,7 +91,8 @@ pub struct RunConfig {
     pub straggler: Option<(f64, u32)>,
     /// Coordinated-checkpoint interval in iterations (the rollback
     /// distance bound when an uncooperative crash is injected). Only
-    /// consulted when the fault plan contains crashes; must be ≥ 1.
+    /// consulted on the tolerant control plane (crash, partition, rot or
+    /// disk-fault plans, audits, paging); must be ≥ 1.
     pub checkpoint_every: u32,
     /// Record a structured virtual-time trace of the run (phase spans,
     /// fault/migration/rollback instants, per-iteration metrics) into
@@ -115,7 +115,9 @@ pub struct RunConfig {
     /// ranks frozen, the minority parks, and on heal the parked ranks
     /// rejoin via buddy state transfer and the degraded stretch is
     /// replayed — results stay byte-identical to the sequential oracle.
-    /// Implies the crash-tolerant control plane (crash plans compose).
+    /// Selects the tolerant control plane even when the fault plan holds
+    /// no partition (crash plans compose); a fault plan with partitions
+    /// selects it regardless.
     pub partition_tolerance: bool,
     /// State-audit interval: every `k` iterations each rank recomputes its
     /// per-partition state digest (owned nodes and retained shadow copies)
@@ -137,9 +139,8 @@ pub struct RunConfig {
     /// fixed budget of hash-bucket pages behind a buffer pool
     /// ([`crate::paging::BufferPool`]) and spill the rest to a per-rank
     /// virtual disk with crash-consistent shadow-paged commits and
-    /// checksum-verified reads. Paged runs execute on the
-    /// checkpoint-tolerant control plane (checkpoints become incremental
-    /// page-diff images); an unrecoverable page escalates through rollback
+    /// checksum-verified reads. Paged runs execute on the tolerant control
+    /// plane (checkpoints become incremental page-diff images); an unrecoverable page escalates through rollback
     /// and replay, and only when every copy is gone does the run fail with
     /// the typed [`PlatformError::UnrecoverableState`] — never a wrong
     /// answer. `None` (the default) keeps the whole table in memory.
@@ -292,17 +293,52 @@ impl RunConfig {
     }
 }
 
+/// The control plane a run executes on: a pure function of its config,
+/// decided here and nowhere else. Both planes run the same per-rank loop
+/// ([`crate::engine`]); they differ in how ranks synchronise and agree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ControlPlane {
+    /// The thesis's plane: barriers, tree collectives and a tree gather.
+    /// Nothing on it can fail mid-run except by a cooperative kill.
+    Plain,
+    /// The failure-detecting plane: every agreement is a control exchange
+    /// that resolves even when ranks have crashed or are cut off, with
+    /// coordinated checkpoints, rollback, membership, audits and paging
+    /// layered on it. Uncooperative crashes, partitions, silent corruption,
+    /// disk faults and out-of-core paging all need it — their repairs end
+    /// in rollback + replay from a verified checkpoint.
+    Tolerant,
+}
+
+impl ControlPlane {
+    /// The plane `cfg` runs on.
+    pub(crate) fn of(cfg: &RunConfig) -> ControlPlane {
+        let faults = &cfg.world.faults;
+        if cfg.partition_tolerance
+            || cfg.audit_every.is_some()
+            || cfg.paging.is_some()
+            || faults.has_crashes()
+            || faults.has_partitions()
+            || faults.has_memory_corruption()
+            || faults.has_disk_faults()
+        {
+            ControlPlane::Tolerant
+        } else {
+            ControlPlane::Plain
+        }
+    }
+}
+
 /// Is `iter` a *global* round (full exchange + synchronisation) under
 /// `cfg`'s execution policy? Pure in `iter`, so every rank — and every
 /// crash replay — derives the identical schedule with no shared state.
 ///
 /// Global rounds are forced by: plain BSP; the end of the run; the elision
 /// window filling up (`iter` a multiple of `inner_k + 1`); the balancing
-/// cadence; and, on the checkpoint-tolerant control planes
-/// (`checkpoints`), the checkpoint and audit cadences — snapshots,
-/// verdicts, and repairs only ever happen at globally-synchronised
-/// boundaries.
-pub(crate) fn is_global_round(iter: u32, cfg: &RunConfig, checkpoints: bool) -> bool {
+/// cadence; and, on the tolerant control plane, the checkpoint and audit
+/// cadences — snapshots, verdicts, and repairs only ever happen at
+/// globally-synchronised boundaries.
+pub(crate) fn is_global_round(iter: u32, cfg: &RunConfig) -> bool {
     let inner_k = match cfg.execution {
         ExecutionPolicy::Bsp => return true,
         ExecutionPolicy::Hybrid { inner_k } => inner_k,
@@ -318,7 +354,7 @@ pub(crate) fn is_global_round(iter: u32, cfg: &RunConfig, checkpoints: bool) -> 
     {
         return true;
     }
-    if checkpoints {
+    if ControlPlane::of(cfg) == ControlPlane::Tolerant {
         if iter.is_multiple_of(cfg.checkpoint_every.max(1)) {
             return true;
         }
@@ -337,10 +373,10 @@ pub(crate) fn is_global_round(iter: u32, cfg: &RunConfig, checkpoints: bool) -> 
 /// after a rollback the walk stops at the checkpoint iteration (always a
 /// global round), so replay never re-replays rounds the restored state
 /// already contains.
-pub(crate) fn elided_before(iter: u32, cfg: &RunConfig, checkpoints: bool) -> u32 {
+pub(crate) fn elided_before(iter: u32, cfg: &RunConfig) -> u32 {
     let mut n = 0;
     let mut j = iter;
-    while j > 1 && !is_global_round(j - 1, cfg, checkpoints) {
+    while j > 1 && !is_global_round(j - 1, cfg) {
         n += 1;
         j -= 1;
     }
@@ -492,18 +528,6 @@ impl<D> RunReport<D> {
     }
 }
 
-/// State-integrity tallies one rank accumulates while auditing, repairing,
-/// and restoring. Mismatch and bad-replica counts are per-rank observations
-/// and sum in the report; resync/repair counts are agreed decisions (every
-/// live rank increments together), so the designated copy is canonical.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct IntegrityCounters {
-    pub(crate) audit_mismatches: u64,
-    pub(crate) shadow_resyncs: u32,
-    pub(crate) bad_replicas: u64,
-    pub(crate) repairs: u32,
-}
-
 /// What one rank hands back from its SPMD body. Crashed ranks produce no
 /// outcome at all (`World::run_fallible` yields `None` for them), so the
 /// report is assembled from whichever ranks survived.
@@ -511,44 +535,78 @@ pub(crate) struct RankOutcome<D> {
     pub(crate) total: f64,
     pub(crate) timers: PhaseTimers,
     pub(crate) comm: CommStats,
-    pub(crate) migrations: usize,
-    pub(crate) skipped: usize,
-    pub(crate) evacuated: usize,
-    pub(crate) emergency_balances: usize,
+    pub(crate) counters: Counters,
     pub(crate) ranks_died: Vec<u32>,
     pub(crate) gathered: Option<Vec<(u32, D)>>,
     pub(crate) owner: Vec<u32>,
-    pub(crate) checkpoint_bytes: u64,
-    pub(crate) rollbacks: u32,
-    pub(crate) iterations_replayed: u32,
-    pub(crate) delta: exchange::DeltaStats,
-    pub(crate) quiescent_iterations: u32,
-    pub(crate) inner_iterations: u32,
-    pub(crate) barriers_elided: u64,
-    pub(crate) degraded_iterations: u32,
-    pub(crate) rejoins: u32,
-    pub(crate) rejoin_bytes: u64,
-    pub(crate) suspected_peak: u32,
-    pub(crate) integrity: IntegrityCounters,
+    pub(crate) tally: Tally,
     pub(crate) pages: PageCounters,
     pub(crate) disk: mpisim::DiskCounters,
 }
 
-/// Assemble the run report from the per-rank outcomes. The recovery
-/// counters are replicated state, so the lowest surviving rank's copy is
-/// canonical; the fault counters are per-rank and sum; timers and comm
-/// stats cover the surviving ranks.
+/// Check that every surviving rank agrees on the counters the protocol
+/// replicates (they are decided from agreed verdicts, pure schedules or
+/// replicated state). A disagreement is a platform bug, surfaced as the
+/// typed [`PlatformError::InternalInvariant`] naming the first dissenting
+/// rank, never silently resolved by trusting one rank's copy.
+fn check_agreed<D>(results: &[Option<RankOutcome<D>>]) -> Result<(), PlatformError> {
+    let live = || {
+        results
+            .iter()
+            .enumerate()
+            .filter_map(|(r, o)| Some((r, o.as_ref()?)))
+    };
+    let Some((_, first)) = live().next() else {
+        return Ok(());
+    };
+    type Agreed<'a> = (usize, &'a [u32], &'a [u32], [u32; 9], u64);
+    fn agreed<D>(o: &RankOutcome<D>) -> Agreed<'_> {
+        let t = &o.tally;
+        (
+            o.counters.migrations,
+            &o.ranks_died,
+            &o.owner,
+            [
+                t.rollbacks,
+                t.iterations_replayed,
+                t.quiescent_iterations,
+                t.inner_iterations,
+                t.degraded_iterations,
+                t.rejoins,
+                t.suspected_peak,
+                t.shadow_resyncs,
+                t.repairs,
+            ],
+            t.barriers_elided,
+        )
+    }
+    let canonical = agreed(first);
+    match live().find(|(_, o)| agreed(o) != canonical) {
+        None => Ok(()),
+        Some((rank, o)) => Err(PlatformError::InternalInvariant {
+            rank: rank as u32,
+            detail: format!(
+                "agreed counters diverged from the designated rank's: {:?} vs {:?}",
+                agreed(o),
+                canonical
+            ),
+        }),
+    }
+}
+
+/// Assemble the run report from the per-rank outcomes. The agreed
+/// counters are replicated state (checked equal on every survivor), so the
+/// lowest surviving rank's copy is canonical; the fault counters are
+/// per-rank and sum; timers and comm stats cover the surviving ranks.
 fn assemble<D: Clone>(
     results: Vec<Option<RankOutcome<D>>>,
     partition: Partition,
     num_nodes: usize,
-) -> RunReport<D> {
+) -> Result<RunReport<D>, PlatformError> {
+    check_agreed(&results)?;
     let live: Vec<&RankOutcome<D>> = results.iter().flatten().collect();
     let designated = *live.first().expect("at least one rank survives the run");
     let total_time = live.iter().map(|r| r.total).fold(0.0f64, f64::max);
-    let migrations = designated.migrations;
-    debug_assert!(live.iter().all(|r| r.migrations == migrations));
-    debug_assert!(live.iter().all(|r| r.ranks_died == designated.ranks_died));
     let mut faults = FaultStats::default();
     let mut checkpoint_bytes = 0u64;
     let mut credit_stalls = 0u64;
@@ -571,17 +629,16 @@ fn assemble<D: Clone>(
         faults.disk_read_rots += r.disk.read_rots;
         faults.disk_full_rejections += r.disk.full_rejections;
         pages.merge(&r.pages);
-        checkpoint_bytes += r.checkpoint_bytes;
+        checkpoint_bytes += r.tally.checkpoint_bytes;
         credit_stalls += r.comm.credit_stalls;
         peak_mailbox_depth = peak_mailbox_depth.max(r.comm.peak_mailbox_depth);
         negative_clamps += r.timers.negative_clamps();
-        delta_entries_sent += r.delta.entries_sent;
-        delta_entries_skipped += r.delta.entries_skipped;
-        rejoin_bytes += r.rejoin_bytes;
-        audit_mismatches += r.integrity.audit_mismatches;
-        bad_replicas += r.integrity.bad_replicas;
+        delta_entries_sent += r.tally.delta.entries_sent;
+        delta_entries_skipped += r.tally.delta.entries_skipped;
+        rejoin_bytes += r.tally.rejoin_bytes;
+        audit_mismatches += r.tally.audit_mismatches;
+        bad_replicas += r.tally.bad_replicas;
     }
-    let final_owner = designated.owner.clone();
     let mut slots: Vec<Option<D>> = (0..num_nodes).map(|_| None).collect();
     if let Some(gathered) = &designated.gathered {
         for (id, data) in gathered {
@@ -596,112 +653,47 @@ fn assemble<D: Clone>(
         .map(|(id, s)| s.unwrap_or_else(|| panic!("node {id} missing from gather")))
         .collect();
 
-    RunReport {
+    let (c, t) = (&designated.counters, &designated.tally);
+    Ok(RunReport {
         total_time,
         timers: live.iter().map(|r| r.timers.clone()).collect(),
         comm: live.iter().map(|r| r.comm.clone()).collect(),
-        migrations,
+        migrations: c.migrations,
         final_data,
         initial_partition: partition,
-        final_owner,
+        final_owner: designated.owner.clone(),
         faults,
         ranks_died: designated.ranks_died.clone(),
-        evacuated: designated.evacuated,
-        emergency_balances: designated.emergency_balances,
-        skipped_migrations: designated.skipped,
+        evacuated: c.evacuated,
+        emergency_balances: c.emergency_balances,
+        skipped_migrations: c.skipped,
         checkpoint_bytes,
-        rollbacks: designated.rollbacks,
-        iterations_replayed: designated.iterations_replayed,
+        rollbacks: t.rollbacks,
+        iterations_replayed: t.iterations_replayed,
         credit_stalls,
         peak_mailbox_depth,
         negative_clamps,
         delta_entries_sent,
         delta_entries_skipped,
-        // The quiescence verdicts are agreed (every live rank saw the same
-        // global counts), so the designated rank's tally is canonical.
-        quiescent_iterations: designated.quiescent_iterations,
-        // The elision schedule is a pure function of the iteration number,
-        // identical on every rank that ran the loop; the designated rank's
-        // tally is canonical.
-        inner_iterations: designated.inner_iterations,
-        barriers_elided: designated.barriers_elided,
-        // Membership verdicts are likewise agreed: the degraded/heal tallies
-        // are replicated, only the transfer bytes are per-rank and sum.
-        degraded_iterations: designated.degraded_iterations,
-        rejoins: designated.rejoins,
+        quiescent_iterations: t.quiescent_iterations,
+        inner_iterations: t.inner_iterations,
+        barriers_elided: t.barriers_elided,
+        degraded_iterations: t.degraded_iterations,
+        rejoins: t.rejoins,
         rejoin_bytes,
-        suspected_peak: designated.suspected_peak,
+        suspected_peak: t.suspected_peak,
         memory_corruptions: faults.memory_corruptions,
         audit_mismatches,
-        // Repair decisions ride the agreed control verdicts, so like the
-        // membership tallies the designated rank's copy is canonical.
-        shadow_resyncs: designated.integrity.shadow_resyncs,
+        shadow_resyncs: t.shadow_resyncs,
         bad_replicas,
-        repairs: designated.integrity.repairs,
+        repairs: t.repairs,
         page_faults: pages.page_faults,
         pages_evicted: pages.pages_evicted,
         disk_retries: pages.disk_retries,
         torn_writes_detected: pages.torn_writes_detected,
         pages_recovered: pages.pages_recovered,
         trace: None,
-    }
-}
-
-/// Per-iteration trace bookkeeping for the metrics timeline. Constructed
-/// only when tracing is on (`None` otherwise), snapshotting the phase
-/// timers and the rank-local send/receive counters at the iteration start;
-/// [`IterTracer::finish`] emits the `iteration` span with the deltas.
-///
-/// Every field is rank-local and clock- or program-order-driven, so the
-/// emitted span is byte-reproducible across same-seed runs. (The
-/// *instantaneous* mailbox depth is deliberately absent: it depends on how
-/// far ahead other host threads ran, so it lives only in the run-level
-/// `peak_mailbox_depth` counter.)
-pub(crate) struct IterTracer {
-    timers_before: PhaseTimers,
-    sent_before: u64,
-    recv_before: u64,
-    start: f64,
-}
-
-impl IterTracer {
-    pub(crate) fn begin(rank: &Rank, timers: &PhaseTimers) -> Option<IterTracer> {
-        if !rank.trace_enabled() {
-            return None;
-        }
-        let s = rank.stats();
-        Some(IterTracer {
-            timers_before: timers.clone(),
-            sent_before: s.msgs_sent,
-            recv_before: s.msgs_recv,
-            start: rank.wtime(),
-        })
-    }
-
-    pub(crate) fn finish(self, rank: &Rank, iter: u32, timers: &PhaseTimers) {
-        let s = rank.stats();
-        let delta = |p: Phase| timers.get(p) - self.timers_before.get(p);
-        rank.trace_span(
-            ITERATION_SPAN,
-            "iter",
-            self.start,
-            &[
-                ("iter", ArgValue::U64(iter as u64)),
-                (
-                    "compute",
-                    ArgValue::F64(delta(Phase::Compute) + delta(Phase::ComputationOverhead)),
-                ),
-                (
-                    "comm",
-                    ArgValue::F64(delta(Phase::Communicate) + delta(Phase::CommunicationOverhead)),
-                ),
-                ("integrity", ArgValue::F64(delta(Phase::Integrity))),
-                ("balance", ArgValue::F64(delta(Phase::LoadBalancing))),
-                ("sent", ArgValue::U64(s.msgs_sent - self.sent_before)),
-                ("recv", ArgValue::U64(s.msgs_recv - self.recv_before)),
-            ],
-        );
-    }
+    })
 }
 
 /// Run `f`, converting the platform's typed panic payloads — a
@@ -815,7 +807,6 @@ where
     if matches!(cfg.execution, ExecutionPolicy::Hybrid { inner_k: 0 }) {
         return Err(PlatformError::ZeroInnerIterations);
     }
-    let num_nodes = graph.num_nodes();
     // Tracing hooks in below the driver: the substrate owns the collector,
     // each rank buffers privately and flushes on drop (normal end or crash
     // unwind alike), and the report harvests after the world joins.
@@ -825,366 +816,12 @@ where
         world_cfg = world_cfg.with_trace(Arc::clone(c));
     }
     let world = World::new(world_cfg);
-
-    // Partition tolerance layers the membership protocol (degraded mode,
-    // park, heal-and-rejoin) over the crash-tolerant control plane; it
-    // subsumes crash recovery, so it takes precedence when both apply.
-    if cfg.partition_tolerance {
-        let results: Vec<Option<RankOutcome<P::Data>>> = catch_flow_deadlock(|| {
-            world.run_fallible(cfg.nprocs, |rank| {
-                let mut balancer = make_balancer();
-                crate::membership::run_rank_with_membership(
-                    rank,
-                    graph,
-                    program,
-                    &partition,
-                    &mut balancer,
-                    cfg,
-                )
-            })
-        })?;
-        let mut report = assemble(results, partition, num_nodes);
-        report.trace = collector.map(|c| c.take());
-        return Ok(report);
-    }
-
-    // Uncooperative crashes need the failure-detecting control plane,
-    // coordinated checkpoints, and a world that tolerates rank death. The
-    // state-integrity machinery (audits, memory-corruption repair) lives on
-    // the same path: its repairs reuse the checkpoint/rollback plumbing —
-    // and so does out-of-core paging, whose page-loss repair ladder ends
-    // in rollback + replay from a verified checkpoint.
-    if cfg.world.faults.has_crashes()
-        || cfg.audit_every.is_some()
-        || cfg.world.faults.has_memory_corruption()
-        || cfg.world.faults.has_disk_faults()
-        || cfg.paging.is_some()
-    {
-        let results: Vec<Option<RankOutcome<P::Data>>> = catch_flow_deadlock(|| {
-            world.run_fallible(cfg.nprocs, |rank| {
-                let mut balancer = make_balancer();
-                crate::checkpoint::run_rank_with_recovery(
-                    rank,
-                    graph,
-                    program,
-                    &partition,
-                    &mut balancer,
-                    cfg,
-                )
-            })
-        })?;
-        let mut report = assemble(results, partition, num_nodes);
-        report.trace = collector.map(|c| c.take());
-        return Ok(report);
-    }
-
-    let results: Vec<RankOutcome<P::Data>> = catch_flow_deadlock(|| {
-        world.run(cfg.nprocs, |rank| {
-            let me = rank.rank() as u32;
-            let mut timers = PhaseTimers::new();
-
-            // ---- Initialization phase -------------------------------------
-            let t0 = rank.wtime();
-            let mut store = NodeStore::build(graph, &partition, me, program, cfg.hash_buckets);
-            rank.advance(cfg.costs.init_per_node * store.stored_count() as f64);
-            timers.add(Phase::Initialization, rank.wtime() - t0);
-            rank.trace_span("Initialization", "phase", t0, &[]);
-            if cfg.validate {
-                store
-                    .validate(graph)
-                    .unwrap_or_else(|e| panic!("rank {me}: init invariant: {e}"));
-            }
-            rank.barrier();
-
-            // ---- Iterate ---------------------------------------------------
-            let mut balancer = make_balancer();
-            let mut comp_since_balance = 0.0;
-            let mut migrations = 0usize;
-            let mut skipped = 0usize;
-            let mut evacuated = 0usize;
-            let mut emergency_balances = 0usize;
-            let mut ranks_died: Vec<u32> = Vec::new();
-            // Replicated failure state: which ranks have died and been
-            // evacuated. A dead rank keeps running this loop as a zombie —
-            // owning zero nodes, every phase degenerates to the collectives —
-            // so barriers and broadcasts stay aligned across the world.
-            let mut dead = vec![false; cfg.nprocs];
-            let plan_kills = cfg.world.faults.has_kills();
-            let my_kill = cfg.world.faults.kill_time(me as usize);
-            let mut detector = cfg.straggler.map(|(t, p)| StragglerDetector::new(t, p));
-            let mut delta_stats = exchange::DeltaStats::default();
-            let mut quiescent_iterations = 0u32;
-            let mut inner_iterations = 0u32;
-            let mut barriers_elided = 0u64;
-            for iter in 1..=cfg.iterations {
-                let tracer = IterTracer::begin(rank, &timers);
-                let mut comp_this_iter = 0.0;
-
-                // ---- Inner (barrier-elided) rounds -------------------------
-                // Interior nodes only, fully local: no exchange, no barrier,
-                // no control cost. Kills, balancing, and straggler checks
-                // wait for the next global round — the schedule is pure in
-                // `iter`, so every rank elides the identical rounds.
-                if !is_global_round(iter, cfg, false) {
-                    for phase in 0..program.phases() {
-                        let ctx = ComputeCtx {
-                            iter,
-                            phase,
-                            rank: me,
-                            num_nodes,
-                        };
-                        exchange::inner_step(
-                            rank,
-                            program,
-                            &mut store,
-                            &ctx,
-                            &cfg.costs,
-                            &mut timers,
-                            &mut comp_this_iter,
-                        );
-                        barriers_elided += 1;
-                    }
-                    inner_iterations += 1;
-                    comp_since_balance += comp_this_iter;
-                    if let Some(tracer) = tracer {
-                        tracer.finish(rank, iter, &timers);
-                    }
-                    continue;
-                }
-
-                // ---- Global round ------------------------------------------
-                // First replay the boundary passes the elided rounds skipped,
-                // so every node's compute count matches plain BSP; if any
-                // boundary value moved, retained remote shadows are stale and
-                // the exchange below must full-pack.
-                let missed = elided_before(iter, cfg, false);
-                if missed > 0
-                    && exchange::catch_up_boundary(
-                        rank,
-                        program,
-                        &mut store,
-                        iter,
-                        missed,
-                        program.phases(),
-                        me,
-                        num_nodes,
-                        &cfg.costs,
-                        &mut timers,
-                        &mut comp_this_iter,
-                    )
-                {
-                    store.needs_resync = true;
-                }
-                let mut iter_quiescent = cfg.delta_exchange;
-                for phase in 0..program.phases() {
-                    let ctx = ComputeCtx {
-                        iter,
-                        phase,
-                        rank: me,
-                        num_nodes,
-                    };
-                    let res = exchange::step(
-                        rank,
-                        graph,
-                        program,
-                        &mut store,
-                        &ctx,
-                        cfg.exchange,
-                        &cfg.costs,
-                        &mut timers,
-                        &mut comp_this_iter,
-                        cfg.delta_exchange,
-                    );
-                    delta_stats.absorb(res.delta);
-                    if res.global_changed != Some(0) {
-                        iter_quiescent = false;
-                    }
-                }
-                if iter_quiescent {
-                    quiescent_iterations += 1;
-                }
-                comp_since_balance += comp_this_iter;
-
-                // ---- Failure detection & evacuation (fault plans only) -----
-                if plan_kills {
-                    // Cooperative fail-stop: a rank whose virtual clock passed
-                    // its kill time announces the failure at the iteration
-                    // boundary (shadow copies are in sync here), its tasks are
-                    // evacuated to survivors, and it degenerates to a zombie.
-                    let i_died = !dead[me as usize] && my_kill.is_some_and(|t| rank.wtime() >= t);
-                    let announcements: Vec<bool> = rank.allgather(&i_died);
-                    let newly: Vec<u32> = announcements
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &d)| d)
-                        .map(|(r, _)| r as u32)
-                        .collect();
-                    for &d in &newly {
-                        dead[d as usize] = true;
-                        ranks_died.push(d);
-                    }
-                    for &d in &newly {
-                        evacuated += migrate::evacuate_rank(
-                            rank,
-                            graph,
-                            &mut store,
-                            d,
-                            &dead,
-                            &cfg.costs,
-                            &mut timers,
-                        );
-                    }
-                    if !newly.is_empty() {
-                        comp_since_balance = 0.0;
-                        store.reset_loads();
-                        if cfg.validate {
-                            store.validate(graph).unwrap_or_else(|e| {
-                                panic!("rank {me}: post-evacuation invariant: {e}")
-                            });
-                        }
-                    }
-                }
-
-                // ---- Periodic load balancing -------------------------------
-                let mut balanced_this_iter = false;
-                if iter >= cfg.balance_offset.max(1)
-                    && migrate::is_balance_iteration(iter - cfg.balance_offset, cfg.balance_every)
-                {
-                    let out = migrate::balance_round(
-                        rank,
-                        graph,
-                        &mut store,
-                        &mut balancer,
-                        comp_since_balance,
-                        cfg.migration_batch,
-                        cfg.migrant_policy,
-                        &dead,
-                        &cfg.costs,
-                        &mut timers,
-                    );
-                    migrations += out.migrated;
-                    skipped += out.skipped;
-                    comp_since_balance = 0.0;
-                    store.reset_loads();
-                    balanced_this_iter = true;
-                    if cfg.validate {
-                        store
-                            .validate(graph)
-                            .unwrap_or_else(|e| panic!("rank {me}: post-migration invariant: {e}"));
-                    }
-                }
-
-                // ---- Straggler detection -----------------------------------
-                if let Some(det) = detector.as_mut() {
-                    // Fed the same allgathered times everywhere, the strike
-                    // counter is replicated: every rank reaches the identical
-                    // fire/hold decision with one collective.
-                    let all_times: Vec<f64> = rank.allgather(&comp_this_iter);
-                    let alive: Vec<f64> = all_times
-                        .iter()
-                        .zip(&dead)
-                        .filter(|&(_, &d)| !d)
-                        .map(|(&t, _)| t)
-                        .collect();
-                    let max = alive.iter().cloned().fold(0.0f64, f64::max);
-                    let mean = alive.iter().sum::<f64>() / alive.len().max(1) as f64;
-                    if det.observe(max, mean) && !balanced_this_iter {
-                        let out = migrate::balance_round(
-                            rank,
-                            graph,
-                            &mut store,
-                            &mut balancer,
-                            comp_since_balance,
-                            cfg.migration_batch,
-                            cfg.migrant_policy,
-                            &dead,
-                            &cfg.costs,
-                            &mut timers,
-                        );
-                        migrations += out.migrated;
-                        skipped += out.skipped;
-                        emergency_balances += 1;
-                        comp_since_balance = 0.0;
-                        store.reset_loads();
-                        if cfg.validate {
-                            store.validate(graph).unwrap_or_else(|e| {
-                                panic!("rank {me}: post-emergency-balance invariant: {e}")
-                            });
-                        }
-                    }
-                }
-
-                if let Some(tracer) = tracer {
-                    tracer.finish(rank, iter, &timers);
-                }
-            }
-            rank.barrier();
-            let total = rank.wtime();
-
-            // ---- Gather final data at rank 0 --------------------------------
-            let owned: Vec<(u32, P::Data)> = store
-                .internal
-                .iter()
-                .chain(store.peripheral.iter())
-                .map(|node| {
-                    (
-                        node.id,
-                        store
-                            .table
-                            .get(node.id)
-                            .unwrap_or_else(|| {
-                                crate::error::invariant_violated(
-                                    me,
-                                    format!("no data for owned node {} at gather", node.id),
-                                )
-                            })
-                            .clone(),
-                    )
-                })
-                .collect();
-            let gathered = rank
-                .gather(0, &owned)
-                .map(|per_rank| per_rank.into_iter().flatten().collect::<Vec<_>>());
-
-            // Everyone is past the closing barrier, so every delivery has
-            // landed: reconcile lingering stale/damaged frames into the
-            // fault counters before the final snapshot (else the totals
-            // depend on host scheduling).
-            rank.reconcile_faults();
-            RankOutcome {
-                total,
-                timers,
-                comm: rank.stats(),
-                migrations,
-                skipped,
-                evacuated,
-                emergency_balances,
-                ranks_died,
-                gathered,
-                owner: store.owner.clone(),
-                checkpoint_bytes: 0,
-                rollbacks: 0,
-                iterations_replayed: 0,
-                delta: delta_stats,
-                quiescent_iterations,
-                inner_iterations,
-                barriers_elided,
-                degraded_iterations: 0,
-                rejoins: 0,
-                rejoin_bytes: 0,
-                suspected_peak: 0,
-                integrity: IntegrityCounters::default(),
-                pages: PageCounters::default(),
-                disk: mpisim::DiskCounters::default(),
-            }
+    let results = catch_flow_deadlock(|| {
+        world.run_fallible(cfg.nprocs, |rank| {
+            crate::engine::run_rank(rank, graph, program, &partition, make_balancer(), cfg)
         })
     })?;
-
-    let mut report = assemble(
-        results.into_iter().map(Some).collect(),
-        partition,
-        num_nodes,
-    );
+    let mut report = assemble(results, partition, graph.num_nodes())?;
     report.trace = collector.map(|c| c.take());
     Ok(report)
 }
@@ -1291,41 +928,73 @@ mod tests {
     fn hybrid_cadence_is_pure_and_bsp_never_elides() {
         let bsp = RunConfig::new(4, 20);
         for iter in 1..=20 {
-            assert!(is_global_round(iter, &bsp, false));
-            assert_eq!(elided_before(iter, &bsp, false), 0);
+            assert!(is_global_round(iter, &bsp));
+            assert_eq!(elided_before(iter, &bsp), 0);
         }
 
         // inner_k = 3, no other triggers: globals at multiples of 4 and at
         // the final iteration; each global replays the rounds since the
         // previous one.
         let hybrid = RunConfig::new(4, 10).with_hybrid(3);
-        let globals: Vec<u32> = (1..=10)
-            .filter(|&i| is_global_round(i, &hybrid, false))
-            .collect();
+        let globals: Vec<u32> = (1..=10).filter(|&i| is_global_round(i, &hybrid)).collect();
         assert_eq!(globals, vec![4, 8, 10]);
-        assert_eq!(elided_before(4, &hybrid, false), 3);
-        assert_eq!(elided_before(8, &hybrid, false), 3);
-        assert_eq!(elided_before(10, &hybrid, false), 1);
+        assert_eq!(elided_before(4, &hybrid), 3);
+        assert_eq!(elided_before(8, &hybrid), 3);
+        assert_eq!(elided_before(10, &hybrid), 1);
 
         // The balancing cadence forces globals mid-window.
         let balanced = RunConfig::new(4, 20).with_hybrid(5).with_balancing(3);
         for iter in (3..20).step_by(3) {
-            assert!(is_global_round(iter, &balanced, false));
+            assert!(is_global_round(iter, &balanced));
         }
 
-        // On the checkpoint-tolerant plane the checkpoint and audit
-        // cadences force globals too — snapshots and verdicts only land at
-        // synchronised boundaries.
+        // On the tolerant plane (here: auditing selects it) the checkpoint
+        // and audit cadences force globals too — snapshots and verdicts
+        // only land at synchronised boundaries.
         let chk = RunConfig::new(4, 20)
             .with_hybrid(5)
             .with_checkpointing(4)
             .with_state_audit(3);
+        assert_eq!(ControlPlane::of(&chk), ControlPlane::Tolerant);
         for iter in 1..20 {
             let forced = iter % 6 == 0 || iter % 4 == 0 || iter % 3 == 0;
-            assert_eq!(is_global_round(iter, &chk, true), forced, "iter {iter}");
+            assert_eq!(is_global_round(iter, &chk), forced, "iter {iter}");
         }
-        // ...but only on that plane: the plain path ignores them.
-        assert!(!is_global_round(3, &chk, false));
+        // ...but only on that plane: a plain-plane run with the same
+        // checkpoint cadence ignores it (it takes no checkpoints).
+        let plain = RunConfig::new(4, 20).with_hybrid(5).with_checkpointing(4);
+        assert_eq!(ControlPlane::of(&plain), ControlPlane::Plain);
+        assert!(!is_global_round(4, &plain));
+        assert!(is_global_round(6, &plain));
+    }
+
+    #[test]
+    fn agreed_counters_must_match_on_every_survivor() {
+        let outcome = |rollbacks: u32| RankOutcome::<i64> {
+            total: 1.0,
+            timers: PhaseTimers::new(),
+            comm: CommStats::default(),
+            counters: Counters::default(),
+            ranks_died: vec![3],
+            gathered: None,
+            owner: vec![0, 1, 2],
+            tally: Tally {
+                rollbacks,
+                ..Tally::default()
+            },
+            pages: PageCounters::default(),
+            disk: mpisim::DiskCounters::default(),
+        };
+        // A crashed rank (None) has no say; agreeing survivors pass.
+        assert!(check_agreed(&[Some(outcome(2)), None, Some(outcome(2))]).is_ok());
+        // A survivor that disagrees is named in a typed error.
+        match check_agreed(&[Some(outcome(2)), None, Some(outcome(1))]) {
+            Err(PlatformError::InternalInvariant { rank, detail }) => {
+                assert_eq!(rank, 2);
+                assert!(detail.contains("agreed counters"), "{detail}");
+            }
+            other => panic!("expected an internal-invariant error, got {other:?}"),
+        }
     }
 
     #[test]

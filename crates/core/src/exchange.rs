@@ -5,8 +5,7 @@ use crate::paging::Pager;
 use crate::program::{ComputeCtx, NeighborData, NodeProgram};
 use crate::store::{LocalNode, NodeStore};
 use crate::timers::{Phase, PhaseTimers};
-use ic2_graph::Graph;
-use mpisim::{ArgValue, CtlSlot, Envelope, Rank, RetryPolicy};
+use mpisim::{ArgValue, CtlSlot, CtlVerdict, Envelope, Rank, RetryPolicy};
 use std::time::{Duration, Instant};
 
 /// Message tag for shadow-buffer exchange.
@@ -36,16 +35,18 @@ impl DeltaStats {
     }
 }
 
-/// What one [`step`] observed: local delta accounting plus, in delta mode,
-/// the agreed global changed-node count from the iteration-closing control
-/// exchange (`Some(0)` ⇒ every rank's boundary is quiescent).
+/// What one [`step`] observed: this rank's delta accounting, plus whether
+/// any awaited sender was confirmed dead and whether any send or receive
+/// crossed an active partition. Both flags are local observations; the
+/// caller's control plane turns them into an agreed decision.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StepResult {
-    /// This rank's delta accounting for the iteration.
+pub struct StepOutcome {
+    /// This rank's delta accounting for the round.
     pub delta: DeltaStats,
-    /// Global changed-node total (identical on every rank); `None` when
-    /// delta mode is off and the iteration closed with a plain barrier.
-    pub global_changed: Option<u64>,
+    /// Some awaited sender had crashed; its stale shadows stood in.
+    pub saw_death: bool,
+    /// Some frame crossed a partition cut; stale shadows stood in.
+    pub saw_cut: bool,
 }
 
 /// Per-destination shadow-update buffers (the thesis's array of buffer
@@ -61,20 +62,39 @@ pub enum ExchangeMode {
     #[default]
     PostComm,
     /// The overlapped variant (Figure 8a): peripheral nodes first, dispatch
-    /// sends and post `MPI_Irecv`s, compute internal nodes while the
-    /// communication is in flight, then wait and unpack.
+    /// sends, compute internal nodes while the communication is in flight,
+    /// then receive and unpack (the thesis's `MPI_Irecv` + `MPI_Wait`:
+    /// each receive is charged when it completes, after the compute).
     Overlap,
 }
 
 /// Run one compute + communicate round.
 ///
-/// `comp_time_out` accumulates the execution time the thesis's load
-/// balancer samples (the `ComputeOverNodes` duration: node computation plus
-/// its overhead).
+/// [`ExchangeMode::PostComm`] computes internal nodes, then peripheral
+/// nodes (packing as each is updated), then sends and receives.
+/// [`ExchangeMode::Overlap`] computes peripheral nodes first, sends, and
+/// computes internal nodes while the shadows travel; only then does it
+/// receive. Both modes charge every receive at the moment it is consumed
+/// (`max(clock, arrival) + recv_overhead`), so compute done after the
+/// sends genuinely overlaps communication.
+///
+/// Receives are crash- and partition-aware. The *never-skip* rule: a
+/// receive whose sender has died, or that consumes a partition tombstone,
+/// keeps the stale shadow value from the previous round, and the rank runs
+/// the rest of its schedule unchanged. Every survivor thus executes the
+/// identical sequence of collectives, which is what keeps the failure
+/// detector's verdicts aligned; the control plane discards the garbage
+/// round by rollback. `frozen` marks ranks the membership layer currently
+/// suspects: no buffer is sent to them, and each expected receive from one
+/// is replaced by one `detect_timeout` charge in canonical order.
+///
+/// The round ends with the promote sweep and storage charge; the caller
+/// closes it with its control plane's synchronisation. `comp_time_out`
+/// accumulates the execution time the load balancer samples (node
+/// computation plus its overhead).
 #[allow(clippy::too_many_arguments)]
 pub fn step<P: NodeProgram>(
     rank: &Rank,
-    _graph: &Graph,
     program: &P,
     store: &mut NodeStore<P::Data>,
     ctx: &ComputeCtx,
@@ -83,7 +103,8 @@ pub fn step<P: NodeProgram>(
     timers: &mut PhaseTimers,
     comp_time_out: &mut f64,
     delta: bool,
-) -> StepResult {
+    frozen: &[bool],
+) -> StepOutcome {
     let comp_t0 = rank.wtime();
     // Delta packing is suspended for one iteration after any structural
     // change (migration, evacuation, restore, genesis): every receiver's
@@ -96,302 +117,56 @@ pub fn step<P: NodeProgram>(
             buf.reserve(store.send_counts[p]);
         }
     }
-
-    match mode {
-        ExchangeMode::PostComm => {
-            // Figure 8: internal nodes, then peripheral nodes (packing as
-            // each is updated), then send/recv.
-            compute_list(
-                rank,
-                program,
-                &store.internal,
-                &mut store.table,
-                &mut store.node_load,
-                &mut store.pager,
-                ctx,
-                costs,
-                timers,
-                None,
-                delta,
-                delta_active,
-                &mut stats,
-                None,
-            );
-            compute_list(
-                rank,
-                program,
-                &store.peripheral,
-                &mut store.table,
-                &mut store.node_load,
-                &mut store.pager,
-                ctx,
-                costs,
-                timers,
-                Some(&mut buffers),
-                delta,
-                delta_active,
-                &mut stats,
-                None,
-            );
-            *comp_time_out += rank.wtime() - comp_t0;
-            rank.trace_span("Compute", "phase", comp_t0, &[]);
-            if bounded(rank) {
-                let (ex, _) = bounded_send(rank, store, &buffers, timers, &[]);
-                bounded_collect(rank, store, ex, timers, costs, false, &[]);
-            } else {
-                send_buffers(rank, store, &buffers, timers, costs, &[]);
-                recv_and_unpack(rank, store, timers, costs);
-            }
-        }
-        ExchangeMode::Overlap => {
-            // Figure 8a: peripherals first so their shadows can travel
-            // while internal nodes compute.
-            compute_list(
-                rank,
-                program,
-                &store.peripheral,
-                &mut store.table,
-                &mut store.node_load,
-                &mut store.pager,
-                ctx,
-                costs,
-                timers,
-                Some(&mut buffers),
-                delta,
-                delta_active,
-                &mut stats,
-                None,
-            );
-            if bounded(rank) {
-                // Same virtual-time schedule as the unbounded overlap
-                // (send charges here, receive charges after the internal
-                // compute), but frames are drained opportunistically so a
-                // full mailbox can never wedge the send phase.
-                let (ex, _) = bounded_send(rank, store, &buffers, timers, &[]);
-                compute_list(
-                    rank,
-                    program,
-                    &store.internal,
-                    &mut store.table,
-                    &mut store.node_load,
-                    &mut store.pager,
-                    ctx,
-                    costs,
-                    timers,
-                    None,
-                    delta,
-                    delta_active,
-                    &mut stats,
-                    None,
-                );
-                *comp_time_out += rank.wtime() - comp_t0;
-                rank.trace_span("Compute", "phase", comp_t0, &[]);
-                bounded_collect(rank, store, ex, timers, costs, false, &[]);
-            } else {
-                send_buffers(rank, store, &buffers, timers, costs, &[]);
-                type ShadowRecv<D> = (u32, mpisim::RecvRequest<Vec<(u32, D)>>);
-                let reqs: Vec<ShadowRecv<P::Data>> = store
-                    .recv_procs()
-                    .into_iter()
-                    .map(|p| (p, rank.irecv(p as usize, TAG_SHADOW)))
-                    .collect();
-                compute_list(
-                    rank,
-                    program,
-                    &store.internal,
-                    &mut store.table,
-                    &mut store.node_load,
-                    &mut store.pager,
-                    ctx,
-                    costs,
-                    timers,
-                    None,
-                    delta,
-                    delta_active,
-                    &mut stats,
-                    None,
-                );
-                *comp_time_out += rank.wtime() - comp_t0;
-                rank.trace_span("Compute", "phase", comp_t0, &[]);
-                let recv_t0 = rank.wtime();
-                for (_, req) in reqs {
-                    let t0 = rank.wtime();
-                    let msg = req.wait(rank);
-                    timers.add(Phase::Communicate, rank.wtime() - t0);
-                    unpack(rank, store, msg, timers, costs);
-                }
-                rank.trace_span("Communicate", "phase", recv_t0, &[]);
-            }
-        }
+    let overlap = mode == ExchangeMode::Overlap;
+    let mut compute = |store: &mut NodeStore<P::Data>,
+                       peripheral: bool,
+                       buffers: Option<&mut ShadowBuffers<P::Data>>,
+                       timers: &mut PhaseTimers| {
+        let list = if peripheral {
+            &store.peripheral
+        } else {
+            &store.internal
+        };
+        compute_list(
+            rank,
+            program,
+            list,
+            &mut store.table,
+            &mut store.node_load,
+            &mut store.pager,
+            ctx,
+            costs,
+            timers,
+            buffers,
+            delta,
+            delta_active,
+            &mut stats,
+            None,
+        );
+    };
+    if !overlap {
+        compute(store, false, None, timers);
     }
+    compute(store, true, Some(&mut buffers), timers);
+    let mut sent = None;
+    if overlap {
+        // Figure 8a: the peripheral shadows travel while internal nodes
+        // compute.
+        sent = Some(send_shadows(rank, store, &buffers, timers, frozen));
+        compute(store, false, None, timers);
+    }
+    *comp_time_out += rank.wtime() - comp_t0;
+    rank.trace_span("Compute", "phase", comp_t0, &[]);
+    let (ex, send_cut) =
+        sent.unwrap_or_else(|| send_shadows(rank, store, &buffers, timers, frozen));
+    let (saw_death, recv_cut) = collect_shadows(rank, store, ex, timers, costs, frozen);
     // This iteration shipped a full pack if delta packing was suspended;
     // either way receivers are now current, so the latch can drop.
     store.needs_resync = false;
 
     // End of iteration: promote every staged value (the thesis's
-    // `data = most_recent_data` sweep), then the synchronisation that
-    // closes `CommunicateShadows`. In delta mode the plain barrier becomes
-    // a control exchange — identical virtual-time cost — carrying this
-    // rank's changed-node count, so every rank learns the agreed global
-    // total and can observe quiescence.
-    let t0 = rank.wtime();
-    promote_and_note(rank, store, costs);
-    timers.add(Phase::ComputationOverhead, rank.wtime() - t0);
-    drain_storage(rank, store, timers);
-    let t0 = rank.wtime();
-    let global_changed = if delta {
-        rank.trace_instant(
-            "delta_skipped",
-            "delta",
-            &[
-                ("iter", ArgValue::U64(ctx.iter as u64)),
-                ("sent", ArgValue::U64(stats.entries_sent)),
-                ("skipped", ArgValue::U64(stats.entries_skipped)),
-            ],
-        );
-        let verdict = rank.ctl_exchange(CtlSlot {
-            word: stats.changed_nodes,
-            load: 0.0,
-            flag: false,
-        });
-        Some((0..rank.size()).filter_map(|r| verdict.word(r)).sum())
-    } else {
-        rank.barrier();
-        None
-    };
-    timers.add(Phase::Communicate, rank.wtime() - t0);
-    StepResult {
-        delta: stats,
-        global_changed,
-    }
-}
-
-/// Crash-aware variant of [`step`]: identical schedule to
-/// [`ExchangeMode::PostComm`], but every shadow receive goes through
-/// [`Rank::try_recv`] so a crashed neighbour cannot wedge the round.
-///
-/// The *never-skip* rule: a receive whose sender has died simply keeps the
-/// stale shadow value from the previous iteration and the rank runs the
-/// rest of its schedule unchanged — every survivor still executes the
-/// identical sequence of barriers and control exchanges, which is what
-/// keeps the failure detector's verdicts aligned. The numerically garbage
-/// iteration this produces is discarded wholesale by rollback recovery, so
-/// it never reaches the final answer.
-///
-/// `frozen` marks ranks currently *suspected* by the membership layer
-/// (empty slice ⇒ none): no shadow buffer is sent to a frozen rank, and its
-/// expected receive is replaced by one `detect_timeout` charge in canonical
-/// order — its retained stale shadows serve read-only, exactly the
-/// degraded-mode contract. A receive that instead consumes a partition
-/// *tombstone* (the peer is alive but newly unreachable) likewise keeps the
-/// stale shadow and reports the cut.
-///
-/// Returns `(saw_death, saw_cut, stats)`: whether any awaited sender was
-/// confirmed dead, whether any send or receive crossed an active partition,
-/// plus this rank's delta accounting (the caller owns the
-/// iteration-closing control exchange in crash mode, so the changed-node
-/// count is handed back for it to piggyback there).
-#[allow(clippy::too_many_arguments)]
-pub fn step_crash_aware<P: NodeProgram>(
-    rank: &Rank,
-    _graph: &Graph,
-    program: &P,
-    store: &mut NodeStore<P::Data>,
-    ctx: &ComputeCtx,
-    costs: &CostModel,
-    timers: &mut PhaseTimers,
-    comp_time_out: &mut f64,
-    delta: bool,
-    frozen: &[bool],
-) -> (bool, bool, DeltaStats) {
-    let comp_t0 = rank.wtime();
-    let delta_active = delta && !store.needs_resync;
-    let mut stats = DeltaStats::default();
-    let mut buffers: ShadowBuffers<P::Data> = vec![Vec::new(); store.nprocs];
-    for (p, buf) in buffers.iter_mut().enumerate() {
-        if store.send_counts[p] > 0 {
-            buf.reserve(store.send_counts[p]);
-        }
-    }
-    compute_list(
-        rank,
-        program,
-        &store.internal,
-        &mut store.table,
-        &mut store.node_load,
-        &mut store.pager,
-        ctx,
-        costs,
-        timers,
-        None,
-        delta,
-        delta_active,
-        &mut stats,
-        None,
-    );
-    compute_list(
-        rank,
-        program,
-        &store.peripheral,
-        &mut store.table,
-        &mut store.node_load,
-        &mut store.pager,
-        ctx,
-        costs,
-        timers,
-        Some(&mut buffers),
-        delta,
-        delta_active,
-        &mut stats,
-        None,
-    );
-    *comp_time_out += rank.wtime() - comp_t0;
-    rank.trace_span("Compute", "phase", comp_t0, &[]);
-
-    let mut saw_death = false;
-    let mut saw_cut = false;
-    let is_frozen = |p: usize| frozen.get(p).copied().unwrap_or(false);
-    if bounded(rank) {
-        let (ex, cut) = bounded_send(rank, store, &buffers, timers, frozen);
-        saw_cut |= cut;
-        let (death, cut) = bounded_collect(rank, store, ex, timers, costs, true, frozen);
-        saw_death = death;
-        saw_cut |= cut;
-    } else {
-        saw_cut |= send_buffers(rank, store, &buffers, timers, costs, frozen);
-        let recv_t0 = rank.wtime();
-        for p in store.recv_procs() {
-            let t0 = rank.wtime();
-            if is_frozen(p as usize) {
-                // A suspected peer sends nothing while the partition is
-                // open; pay the detection cost in canonical order and let
-                // its retained stale shadows stand in.
-                rank.charge_partition_timeout();
-                timers.add(Phase::Communicate, rank.wtime() - t0);
-                continue;
-            }
-            match rank.try_recv::<Vec<(u32, P::Data)>>(p as usize, TAG_SHADOW) {
-                Ok(msg) => {
-                    timers.add(Phase::Communicate, rank.wtime() - t0);
-                    unpack(rank, store, msg, timers, costs);
-                }
-                Err(mpisim::Died(peer)) => {
-                    // Stale shadow values stand in either way; the dead
-                    // flag disambiguates a confirmed death from a
-                    // partition tombstone (peer alive but unreachable).
-                    timers.add(Phase::Communicate, rank.wtime() - t0);
-                    if rank.peer_dead(peer) {
-                        saw_death = true;
-                    } else {
-                        saw_cut = true;
-                    }
-                }
-            }
-        }
-        rank.trace_span("Communicate", "phase", recv_t0, &[]);
-    }
-    store.needs_resync = false;
-
+    // `data = most_recent_data` sweep) and charge the storage I/O. The
+    // synchronisation that closes `CommunicateShadows` is the caller's.
     let t0 = rank.wtime();
     promote_and_note(rank, store, costs);
     timers.add(Phase::ComputationOverhead, rank.wtime() - t0);
@@ -407,35 +182,46 @@ pub fn step_crash_aware<P: NodeProgram>(
             ],
         );
     }
-    let t0 = rank.wtime();
-    rank.barrier();
-    timers.add(Phase::Communicate, rank.wtime() - t0);
-    (saw_death, saw_cut, stats)
+    StepOutcome {
+        delta: stats,
+        saw_death,
+        saw_cut: send_cut || recv_cut,
+    }
 }
 
-/// One *inner* (barrier-elided) hybrid round for a single phase: interior
-/// nodes only, fully local. Interior nodes have no remote readers by
-/// construction, so nothing is packed, nothing travels, and no barrier or
-/// control exchange closes the round — the whole point of
-/// [`crate::ExecutionPolicy::Hybrid`]. Compute, overhead, promote, and
-/// storage costs are charged exactly as a BSP round charges them for the
-/// same list; only the synchronisation cost is elided.
+/// One fully local compute pass over the interior (`peripheral` false)
+/// or the boundary list, for a single phase: nothing is packed, nothing
+/// travels, and no barrier or control exchange closes it. This is a
+/// hybrid *inner* round when run over the interior — interior nodes have
+/// no remote readers by construction, the whole point of
+/// [`crate::ExecutionPolicy::Hybrid`] — and one step of the boundary
+/// catch-up ([`catch_up_boundary`]) over the boundary. Compute, overhead,
+/// promote, and storage costs are charged exactly as a BSP round charges
+/// them for the same list; only the synchronisation cost is elided.
+/// `track_changes` flips to `true` if any staged value differs from the
+/// node's current one.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn inner_step<P: NodeProgram>(
+pub(crate) fn local_pass<P: NodeProgram>(
     rank: &Rank,
     program: &P,
     store: &mut NodeStore<P::Data>,
     ctx: &ComputeCtx,
+    peripheral: bool,
     costs: &CostModel,
     timers: &mut PhaseTimers,
     comp_time_out: &mut f64,
+    track_changes: Option<&mut bool>,
 ) {
     let comp_t0 = rank.wtime();
-    let mut stats = DeltaStats::default();
+    let list = if peripheral {
+        &store.peripheral
+    } else {
+        &store.internal
+    };
     compute_list(
         rank,
         program,
-        &store.internal,
+        list,
         &mut store.table,
         &mut store.node_load,
         &mut store.pager,
@@ -445,14 +231,14 @@ pub(crate) fn inner_step<P: NodeProgram>(
         None,
         false,
         false,
-        &mut stats,
-        None,
+        &mut DeltaStats::default(),
+        track_changes,
     );
     *comp_time_out += rank.wtime() - comp_t0;
     rank.trace_span("Compute", "phase", comp_t0, &[]);
     let t0 = rank.wtime();
-    let interior = store.internal.len();
-    promote_counted(rank, store, costs, interior);
+    let charged = list.len();
+    promote_counted(rank, store, costs, charged);
     timers.add(Phase::ComputationOverhead, rank.wtime() - t0);
     drain_storage(rank, store, timers);
 }
@@ -492,31 +278,17 @@ pub(crate) fn catch_up_boundary<P: NodeProgram>(
                 rank: me,
                 num_nodes,
             };
-            let comp_t0 = rank.wtime();
-            let mut stats = DeltaStats::default();
-            compute_list(
+            local_pass(
                 rank,
                 program,
-                &store.peripheral,
-                &mut store.table,
-                &mut store.node_load,
-                &mut store.pager,
+                store,
                 &ctx,
+                true,
                 costs,
                 timers,
-                None,
-                false,
-                false,
-                &mut stats,
+                comp_time_out,
                 Some(&mut changed),
             );
-            *comp_time_out += rank.wtime() - comp_t0;
-            rank.trace_span("Compute", "phase", comp_t0, &[]);
-            let t0 = rank.wtime();
-            let boundary = store.peripheral.len();
-            promote_counted(rank, store, costs, boundary);
-            timers.add(Phase::ComputationOverhead, rank.wtime() - t0);
-            drain_storage(rank, store, timers);
         }
     }
     changed
@@ -741,44 +513,89 @@ pub(crate) fn drain_storage<D>(
     s
 }
 
-/// Does this world bound its mailboxes (credit-based flow control)?
-fn bounded(rank: &Rank) -> bool {
-    rank.config().mailbox_capacity.is_some()
+/// Is rank `p` suspected by the membership layer (`frozen` may be empty)?
+fn is_frozen(frozen: &[bool], p: usize) -> bool {
+    frozen.get(p).copied().unwrap_or(false)
 }
 
-/// Send every non-empty buffer to its neighbouring processor. Shadow
-/// buffers travel reliably: a receiver that never gets its buffer would
-/// deadlock the whole BSP round, so under fault injection each lost send is
-/// retransmitted (charging the ack timeout to virtual time) and the final
-/// attempt is escalated through. Without faults this is the thesis's plain
-/// buffered `MPI_Isend`. Retry and NACK-backoff time is attributed to the
-/// integrity phase, the rest to communicate.
+/// In-flight state of a shadow exchange between its send and receive
+/// halves. Under bounded mailboxes it holds the frames physically drained
+/// while a send waited for credit, not yet charged or unpacked, in a dense
+/// slot per sender rank.
+struct InFlight {
+    bounded: bool,
+    frames: Vec<Option<Envelope>>,
+    deadline: Instant,
+}
+
+/// The send half of a shadow exchange: send every non-empty buffer to its
+/// neighbouring processor, in ascending destination order.
 ///
-/// Sends to `frozen` (suspected) ranks are skipped outright. Returns
+/// Shadow buffers travel reliably: a receiver that never gets its buffer
+/// would deadlock the whole BSP round, so under fault injection each lost
+/// send is retransmitted (charging the ack timeout to virtual time) and the
+/// final attempt is escalated through. Without faults this is the thesis's
+/// plain buffered `MPI_Isend`. Retry and NACK-backoff time is attributed to
+/// the integrity phase, the rest to communicate.
+///
+/// Under bounded mailboxes only the *head* send may wait for a credit, and
+/// while it waits the rank drains shadow frames already addressed to it —
+/// charge-free, the receive cost is applied canonically in
+/// [`bounded_collect`]. Sends keep the canonical order, so the sequence of
+/// virtual-time charges is bit-identical to the unbounded schedule, and
+/// the mutual draining makes the send-all-then-receive-all round
+/// deadlock-free at any capacity ≥ 1.
+///
+/// Sends to `frozen` (suspected) ranks are skipped outright. Also returns
 /// whether any send hit an active partition cut — the only way an
 /// escalated reliable send can fail.
-fn send_buffers<D: mpisim::Wire>(
+fn send_shadows<D: mpisim::Wire>(
     rank: &Rank,
     store: &NodeStore<D>,
     buffers: &[Vec<(u32, D)>],
     timers: &mut PhaseTimers,
-    _costs: &CostModel,
     frozen: &[bool],
-) -> bool {
+) -> (InFlight, bool) {
     let t0 = rank.wtime();
     let r0 = rank.retry_seconds();
+    let bounded = rank.config().mailbox_capacity.is_some();
+    let mut frames: Vec<Option<Envelope>> = Vec::new();
+    if bounded {
+        frames.resize_with(rank.size(), || None);
+    }
+    let deadline = Instant::now() + rank.config().watchdog;
     let mut saw_cut = false;
     for (p, buf) in buffers.iter().enumerate() {
-        if store.send_counts[p] > 0 && !frozen.get(p).copied().unwrap_or(false) {
-            // Delta packing may suppress entries, but never adds any; the
-            // (possibly empty) buffer is still sent so the message
-            // schedule — and thus every receive pattern — is identical
-            // with delta on or off.
-            debug_assert!(buf.len() <= store.send_counts[p]);
-            if !rank.send_reliable(p, TAG_SHADOW, buf, RetryPolicy::Escalate) {
-                saw_cut = true;
-            }
+        if store.send_counts[p] == 0 || is_frozen(frozen, p) {
+            continue;
         }
+        // Delta packing may suppress entries, but never adds any; the
+        // (possibly empty) buffer is still sent so the message schedule —
+        // and thus every receive pattern — is identical with delta on or
+        // off.
+        debug_assert!(buf.len() <= store.send_counts[p]);
+        let delivered = if bounded {
+            // No stall accounting here: whether this head send physically
+            // waits depends on host scheduling. Credit stalls are tallied
+            // at their canonical resolution point by the receiver, in
+            // [`bounded_collect`].
+            loop {
+                if rank.offer_credit(p) {
+                    break rank.send_reliable_granted(p, TAG_SHADOW, buf, RetryPolicy::Escalate);
+                }
+                if let Some(env) = rank.drain_one(None, TAG_SHADOW) {
+                    let src = env.src;
+                    frames[src] = Some(env);
+                } else if Instant::now() >= deadline {
+                    rank.deadlock_panic("bounded shadow exchange (send phase)");
+                } else {
+                    rank.wait_incoming(Duration::from_millis(2));
+                }
+            }
+        } else {
+            rank.send_reliable(p, TAG_SHADOW, buf, RetryPolicy::Escalate)
+        };
+        saw_cut |= !delivered;
     }
     let spent = rank.retry_seconds() - r0;
     // No call-site clamp: PhaseTimers::add clamps *and counts* genuinely
@@ -790,104 +607,95 @@ fn send_buffers<D: mpisim::Wire>(
         rank.trace_span("Integrity", "phase", rank.wtime() - spent, &[]);
     }
     rank.trace_span("Communicate", "phase", t0, &[]);
-    saw_cut
+    (
+        InFlight {
+            bounded,
+            frames,
+            deadline,
+        },
+        saw_cut,
+    )
 }
 
-/// In-flight state of a bounded shadow exchange: frames physically drained
-/// but not yet charged/unpacked, in a dense slot per sender rank.
-struct BoundedExchange {
-    frames: Vec<Option<Envelope>>,
-    deadline: Instant,
-}
-
-/// The send half of the bounded-mailbox exchange schedule.
-///
-/// Sends run in the same canonical order (ascending destination, retries
-/// back-to-back) as the unbounded schedule, so the sequence of virtual-time
-/// charges is bit-identical; only the *head* send may wait for a credit,
-/// and while it waits the rank drains shadow frames already addressed to it
-/// — charge-free, the receive cost is applied canonically in
-/// [`bounded_collect`]. That mutual draining is what makes the BSP
-/// send-all-then-receive-all round deadlock-free at any capacity ≥ 1.
-fn bounded_send<D: mpisim::Wire>(
+/// The receive half of a shadow exchange: receive and unpack one buffer
+/// from every neighbouring processor, charged in canonical `recv_procs`
+/// order. A receive from a crashed sender, or one that consumes a
+/// partition tombstone, pays the detection timeout and leaves the stale
+/// shadows standing; a `frozen` peer is not waited for at all and pays one
+/// `detect_timeout` instead. Returns `(saw_death, saw_cut)`: whether any
+/// awaited sender was dead, and whether any frame was a partition
+/// tombstone.
+fn collect_shadows<D: mpisim::Wire + Clone>(
     rank: &Rank,
-    store: &NodeStore<D>,
-    buffers: &[Vec<(u32, D)>],
+    store: &mut NodeStore<D>,
+    ex: InFlight,
     timers: &mut PhaseTimers,
+    costs: &CostModel,
     frozen: &[bool],
-) -> (BoundedExchange, bool) {
-    let t0 = rank.wtime();
-    let r0 = rank.retry_seconds();
-    let mut frames: Vec<Option<Envelope>> = Vec::new();
-    frames.resize_with(rank.size(), || None);
-    let deadline = Instant::now() + rank.config().watchdog;
+) -> (bool, bool) {
+    if ex.bounded {
+        return bounded_collect(rank, store, ex, timers, costs, frozen);
+    }
+    let mut saw_death = false;
     let mut saw_cut = false;
-    for (p, buf) in buffers.iter().enumerate() {
-        if store.send_counts[p] == 0 || frozen.get(p).copied().unwrap_or(false) {
+    let recv_t0 = rank.wtime();
+    for p in store.recv_procs() {
+        let t0 = rank.wtime();
+        if is_frozen(frozen, p as usize) {
+            // A suspected peer sends nothing while the partition is open;
+            // pay the detection cost in canonical order and let its
+            // retained stale shadows stand in.
+            rank.charge_partition_timeout();
+            timers.add(Phase::Communicate, rank.wtime() - t0);
             continue;
         }
-        debug_assert!(buf.len() <= store.send_counts[p]);
-        // No stall accounting here: whether this head send physically waits
-        // depends on host scheduling. Credit stalls are tallied at their
-        // canonical resolution point by the receiver, in [`bounded_collect`].
-        loop {
-            if rank.offer_credit(p) {
-                if !rank.send_reliable_granted(p, TAG_SHADOW, buf, RetryPolicy::Escalate) {
+        match rank.try_recv::<Vec<(u32, D)>>(p as usize, TAG_SHADOW) {
+            Ok(msg) => {
+                timers.add(Phase::Communicate, rank.wtime() - t0);
+                unpack(rank, store, msg, timers, costs);
+            }
+            Err(mpisim::Died(peer)) => {
+                // Stale shadow values stand in either way; the dead flag
+                // disambiguates a confirmed death from a partition
+                // tombstone (peer alive but unreachable).
+                timers.add(Phase::Communicate, rank.wtime() - t0);
+                if rank.peer_dead(peer) {
+                    saw_death = true;
+                } else {
                     saw_cut = true;
                 }
-                break;
-            }
-            if let Some(env) = rank.drain_one(None, TAG_SHADOW) {
-                let src = env.src;
-                frames[src] = Some(env);
-            } else if Instant::now() >= deadline {
-                rank.deadlock_panic("bounded shadow exchange (send phase)");
-            } else {
-                rank.wait_incoming(Duration::from_millis(2));
             }
         }
     }
-    let spent = rank.retry_seconds() - r0;
-    // No call-site clamp (see `send_buffers`): genuinely negative windows
-    // are counted by `PhaseTimers::add` instead of silently erased.
-    timers.add(Phase::Integrity, spent);
-    timers.add(Phase::Communicate, rank.wtime() - t0 - spent);
-    if spent > 0.0 {
-        rank.trace_span("Integrity", "phase", rank.wtime() - spent, &[]);
-    }
-    rank.trace_span("Communicate", "phase", t0, &[]);
-    (BoundedExchange { frames, deadline }, saw_cut)
+    rank.trace_span("Communicate", "phase", recv_t0, &[]);
+    (saw_death, saw_cut)
 }
 
-/// The receive half of the bounded-mailbox exchange schedule: collect the
-/// remaining expected frames (in whatever order they arrive), then charge
-/// and unpack them in the canonical `recv_procs` order — reproducing the
-/// unbounded schedule's virtual clocks exactly.
+/// The bounded-mailbox receive schedule: collect the remaining expected
+/// frames (in whatever order they arrive), then charge and unpack them in
+/// the canonical `recv_procs` order — reproducing the unbounded schedule's
+/// virtual clocks exactly.
 ///
-/// With `crash_aware`, a missing sender whose dead flag was observed
-/// *before* an empty drain pass is definitively never coming (deliveries
-/// happen-before the flag; same reasoning as [`Rank::try_recv`]); it is
-/// charged the detect timeout in canonical order and its stale shadow
-/// values stand in, mirroring the unbounded crash-aware path. Returns
-/// `(saw_death, saw_cut)`: whether any awaited sender was dead, and
-/// whether any frame was a partition tombstone. `frozen` (suspected) peers
-/// are not waited for at all — each is charged one `detect_timeout` in
-/// canonical order, like the unbounded crash-aware path.
-#[allow(clippy::too_many_arguments)]
+/// A missing sender whose dead flag was observed *before* an empty drain
+/// pass is definitively never coming (deliveries happen-before the flag;
+/// same reasoning as [`Rank::try_recv`]); it is charged the detect timeout
+/// in canonical order and its stale shadow values stand in, mirroring the
+/// unbounded path. `frozen` (suspected) peers are not waited for at all —
+/// each is charged one `detect_timeout` in canonical order.
 fn bounded_collect<D: mpisim::Wire + Clone>(
     rank: &Rank,
     store: &mut NodeStore<D>,
-    ex: BoundedExchange,
+    ex: InFlight,
     timers: &mut PhaseTimers,
     costs: &CostModel,
-    crash_aware: bool,
     frozen: &[bool],
 ) -> (bool, bool) {
-    let BoundedExchange {
+    let InFlight {
         mut frames,
         deadline,
+        ..
     } = ex;
-    let is_frozen = |p: usize| frozen.get(p).copied().unwrap_or(false);
+    let is_frozen = |p: usize| is_frozen(frozen, p);
     let expected: Vec<usize> = store.recv_procs().iter().map(|&p| p as usize).collect();
     let mut dead_peers: Vec<usize> = Vec::new();
     loop {
@@ -901,15 +709,11 @@ fn bounded_collect<D: mpisim::Wire + Clone>(
         }
         // Snapshot dead flags *before* draining: a flag set now plus an
         // empty drain below proves the peer's frame was never sent.
-        let flagged: Vec<usize> = if crash_aware {
-            missing
-                .iter()
-                .copied()
-                .filter(|&p| rank.peer_dead(p))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let flagged: Vec<usize> = missing
+            .iter()
+            .copied()
+            .filter(|&p| rank.peer_dead(p))
+            .collect();
         let mut got = false;
         while let Some(env) = rank.drain_one(None, TAG_SHADOW) {
             let src = env.src;
@@ -994,23 +798,6 @@ fn bounded_collect<D: mpisim::Wire + Clone>(
     (saw_death, saw_cut)
 }
 
-/// Blocking receive from every neighbouring processor, then unpack.
-fn recv_and_unpack<D: mpisim::Wire + Clone>(
-    rank: &Rank,
-    store: &mut NodeStore<D>,
-    timers: &mut PhaseTimers,
-    costs: &CostModel,
-) {
-    let recv_t0 = rank.wtime();
-    for p in store.recv_procs() {
-        let t0 = rank.wtime();
-        let msg: Vec<(u32, D)> = rank.recv(p as usize, TAG_SHADOW);
-        timers.add(Phase::Communicate, rank.wtime() - t0);
-        unpack(rank, store, msg, timers, costs);
-    }
-    rank.trace_span("Communicate", "phase", recv_t0, &[]);
-}
-
 /// Apply one received shadow buffer to the data-node table. Paged mode
 /// faults each shadow's bucket in first and skips entries whose page lost
 /// every copy (the damage latch already dooms the iteration to rollback).
@@ -1055,18 +842,25 @@ fn unpack<D: mpisim::Wire + Clone>(
 /// This is the targeted repair an audit boundary triggers when only
 /// *shadow* copies are damaged and the audit interval is 1 (no compute has
 /// read the damaged value yet): strictly cheaper than a rollback, one
-/// exchange round charged to the clock like any other. Crash-aware: a
-/// sender dying mid-repair is reported, not wedged on.
+/// exchange round charged to the clock like any other.
 ///
-/// Returns `(saw_death, saw_cut)` exactly like [`step_crash_aware`]'s
-/// communication phase.
+/// The round closes with a control exchange where a plain step closes with
+/// a barrier (identical virtual-time cost). Each rank's word is 1 iff one
+/// of its receives found a dead sender or crossed a partition cut, so a
+/// repair that failed anywhere is visible to every rank in the returned
+/// verdict and all of them react together. (Without it a fast rank could
+/// also run ahead into the next iteration's exchange while a slow peer is
+/// still collecting repair frames — and the bounded drain schedule keys
+/// in-flight frames by source rank, so the run-ahead frame would overwrite
+/// the unconsumed repair frame and deadlock the round, the exact hazard
+/// tests/runahead_repro.rs pins.)
 pub(crate) fn resync_shadows<D>(
     rank: &Rank,
     store: &mut NodeStore<D>,
     costs: &CostModel,
     timers: &mut PhaseTimers,
     frozen: &[bool],
-) -> (bool, bool)
+) -> CtlVerdict
 where
     D: mpisim::Wire + Clone,
 {
@@ -1098,55 +892,18 @@ where
     }
     timers.add(Phase::CommunicationOverhead, rank.wtime() - t0);
 
-    let mut saw_death = false;
-    let mut saw_cut = false;
-    if bounded(rank) {
-        let (ex, cut) = bounded_send(rank, store, &buffers, timers, frozen);
-        saw_cut |= cut;
-        let (death, cut) = bounded_collect(rank, store, ex, timers, costs, true, frozen);
-        saw_death |= death;
-        saw_cut |= cut;
-    } else {
-        saw_cut |= send_buffers(rank, store, &buffers, timers, costs, frozen);
-        let is_frozen = |p: usize| frozen.get(p).copied().unwrap_or(false);
-        let recv_t0 = rank.wtime();
-        for p in store.recv_procs() {
-            let t0 = rank.wtime();
-            if is_frozen(p as usize) {
-                rank.charge_partition_timeout();
-                timers.add(Phase::Communicate, rank.wtime() - t0);
-                continue;
-            }
-            match rank.try_recv::<Vec<(u32, D)>>(p as usize, TAG_SHADOW) {
-                Ok(msg) => {
-                    timers.add(Phase::Communicate, rank.wtime() - t0);
-                    unpack(rank, store, msg, timers, costs);
-                }
-                Err(mpisim::Died(peer)) => {
-                    timers.add(Phase::Communicate, rank.wtime() - t0);
-                    if rank.peer_dead(peer) {
-                        saw_death = true;
-                    } else {
-                        saw_cut = true;
-                    }
-                }
-            }
-        }
-        rank.trace_span("Communicate", "phase", recv_t0, &[]);
-    }
+    let (ex, send_cut) = send_shadows(rank, store, &buffers, timers, frozen);
+    let (saw_death, recv_cut) = collect_shadows(rank, store, ex, timers, costs, frozen);
     // A full pack just went out: every receiver's retained shadows are
     // current again, so delta packing may resume.
     store.needs_resync = false;
 
-    // Close the repair round with the same barrier a regular step ends
-    // with. Without it a fast rank may run ahead into the next iteration's
-    // exchange while a slow peer is still collecting repair frames — and
-    // the bounded drain schedule keys in-flight frames by source rank, so
-    // the run-ahead frame would overwrite the unconsumed repair frame and
-    // deadlock the round (the exact hazard tests/runahead_repro.rs pins).
     drain_storage(rank, store, timers);
     let t0 = rank.wtime();
-    rank.barrier();
+    let verdict = rank.ctl_exchange(CtlSlot {
+        word: u64::from(saw_death || send_cut || recv_cut),
+        ..CtlSlot::default()
+    });
     timers.add(Phase::Communicate, rank.wtime() - t0);
-    (saw_death, saw_cut)
+    verdict
 }

@@ -591,3 +591,91 @@ fn kill_determinism_and_virtual_times_match() {
     assert_eq!(a.faults, b.faults);
     assert_eq!(a.total_time.to_bits(), b.total_time.to_bits());
 }
+
+#[test]
+fn crash_during_checkpoint_staging_recovers() {
+    // Crash a rank inside the checkpoint staging window — between the
+    // iteration-end control exchange and its mirror send. The per-entry
+    // checkpoint cost is inflated so the staging advance at the end of
+    // iteration 1 spans several virtual seconds; a crash at t=0.5 lands
+    // inside rank 1's staging advance, before its mirror send.
+    let graph = ic2_graph::generators::hex_grid_n(16);
+    let program = AvgProgram::fine();
+    let nprocs = 4;
+    let iterations = 2u32;
+    let oracle = seq::run_sequential(&graph, &program, iterations);
+    let mut cfg = RunConfig::new(nprocs, iterations)
+        .with_checkpointing(1)
+        .with_world(
+            mpisim::Config::virtual_time(NetModel::origin2000())
+                .with_watchdog(Duration::from_secs(10))
+                .with_faults(FaultPlan::new(1).with_crash(1, 0.5)),
+        )
+        .with_validation();
+    cfg.costs.checkpoint_per_entry = 1.0;
+
+    let report = run(&graph, &program, &Metis::default(), || NoBalancer, &cfg);
+    assert_eq!(report.final_data, oracle, "recovery must be exact");
+    assert!(report.rollbacks >= 1);
+}
+
+#[test]
+fn overlap_exchange_survives_crash_rollback_and_still_hides_latency() {
+    // The tolerant control plane honours the exchange mode: peripheral
+    // nodes first, then the sends, then interior compute while the shadows
+    // travel, then the crash-aware receives. Under an uncooperative crash
+    // and rollback the overlapped run must stay oracle-exact and
+    // bit-reproducible — and on a slow network it must still beat the
+    // post-compute exchange.
+    let graph = ic2_graph::generators::hex_grid(8, 8);
+    let program = AvgProgram::coarse();
+    let nprocs = 4;
+    let iterations = 15u32;
+    let oracle = seq::run_sequential(&graph, &program, iterations);
+    let wan =
+        || mpisim::Config::virtual_time(NetModel::wan()).with_watchdog(Duration::from_secs(30));
+    let clean_total = run(
+        &graph,
+        &program,
+        &Metis::default(),
+        || NoBalancer,
+        &RunConfig::new(nprocs, iterations).with_world(wan()),
+    )
+    .total_time;
+    let cfg = |mode| {
+        RunConfig::new(nprocs, iterations)
+            .with_exchange(mode)
+            .with_checkpointing(3)
+            .with_world(
+                wan().with_faults(FaultPlan::new(chaos_seed(17)).with_crash(2, clean_total * 0.5)),
+            )
+            .with_validation()
+    };
+    let go = |mode| {
+        run(
+            &graph,
+            &program,
+            &Metis::default(),
+            || NoBalancer,
+            &cfg(mode),
+        )
+    };
+    let post = go(ExchangeMode::PostComm);
+    let overlap = go(ExchangeMode::Overlap);
+    assert_eq!(post.final_data, oracle);
+    assert_eq!(
+        overlap.final_data, oracle,
+        "overlapped recovery must be exact"
+    );
+    assert!(overlap.rollbacks >= 1, "the crash must force a rollback");
+    assert!(overlap.ranks_died.contains(&2));
+    let again = go(ExchangeMode::Overlap);
+    assert_eq!(overlap.faults, again.faults);
+    assert_eq!(overlap.total_time.to_bits(), again.total_time.to_bits());
+    assert!(
+        overlap.total_time < post.total_time,
+        "overlap {:.4} must beat postcomm {:.4} on a slow network",
+        overlap.total_time,
+        post.total_time
+    );
+}

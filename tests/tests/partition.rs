@@ -132,10 +132,20 @@ fn quarter_run_partition_rejoins_the_minority() {
         .with_detect_timeout(5e-4);
     let cfg = RunConfig::new(nprocs, iterations)
         .with_checkpointing(3)
-        .with_partition_tolerance()
         .with_world(world(plan))
         .with_validation();
-    let report = run(&graph, &program, &Metis::default(), || NoBalancer, &cfg);
+    let report = run(
+        &graph,
+        &program,
+        &Metis::default(),
+        || NoBalancer,
+        &cfg.clone().with_partition_tolerance(),
+    );
+    // A partition plan selects the partition-tolerant control plane by
+    // itself: the explicit switch changes nothing.
+    let implied = run(&graph, &program, &Metis::default(), || NoBalancer, &cfg);
+    assert_eq!(implied.final_data, report.final_data);
+    assert_eq!(implied.total_time.to_bits(), report.total_time.to_bits());
     assert_eq!(report.final_data, oracle, "rejoin + replay must be exact");
     assert!(report.rejoins >= 1, "the minority must rejoin");
     assert!(report.degraded_iterations > 0);
@@ -422,4 +432,141 @@ fn partition_blip_rolls_back_without_rejoin() {
     assert_eq!(a.final_data, b.final_data);
     assert_eq!(a.rejoins, b.rejoins);
     assert_eq!(a.total_time.to_bits(), b.total_time.to_bits());
+}
+
+#[test]
+fn paging_composes_with_a_healing_partition_and_audits() {
+    // Out-of-core paging on the partition-tolerant plane: the pager is
+    // installed whatever the plane, so a partitioned run pages for real —
+    // the degraded stretch, the parked minority, the heal rollback (which
+    // re-points the pager at the restored table) and the page-diff
+    // checkpoints all compose, with audits verifying the paged state.
+    let graph = ic2_graph::generators::hex_grid_n(64);
+    let program = AvgProgram::fine();
+    let nprocs = 4;
+    let iterations = 12u32;
+    let oracle = seq::run_sequential(&graph, &program, iterations);
+    let clean_total = run(
+        &graph,
+        &program,
+        &Metis::default(),
+        || NoBalancer,
+        &RunConfig::new(nprocs, iterations).with_world(clean_world()),
+    )
+    .total_time;
+    let plan = || {
+        FaultPlan::new(chaos_seed(71))
+            .with_partition(
+                vec![vec![0, 1, 2], vec![3]],
+                clean_total * 0.3,
+                clean_total * 0.6,
+            )
+            .with_detect_timeout(5e-4)
+    };
+    let cfg = |p| {
+        RunConfig::new(nprocs, iterations)
+            .with_hash_buckets(16)
+            .with_paging(2, EvictionPolicy::Sieve)
+            .with_state_audit(2)
+            .with_checkpointing(3)
+            .with_partition_tolerance()
+            .with_world(world(p))
+            .with_validation()
+    };
+    let a = run(
+        &graph,
+        &program,
+        &Metis::default(),
+        || NoBalancer,
+        &cfg(plan()),
+    );
+    assert_eq!(a.final_data, oracle, "paged rejoin + replay must be exact");
+    assert!(a.page_faults > 0, "the pager must be installed and fault");
+    assert!(a.rejoins >= 1, "the partition must heal with a rejoin");
+    assert!(a.degraded_iterations > 0);
+    assert_eq!(
+        a.audit_mismatches, 0,
+        "paging must never damage audited state"
+    );
+    let b = run(
+        &graph,
+        &program,
+        &Metis::default(),
+        || NoBalancer,
+        &cfg(plan()),
+    );
+    assert_eq!(a.final_data, b.final_data);
+    assert_eq!(a.page_faults, b.page_faults);
+    assert_eq!(a.faults, b.faults);
+    assert_eq!(a.total_time.to_bits(), b.total_time.to_bits());
+}
+
+#[test]
+fn partition_onset_during_checkpoint_staging_discards_the_snapshot_everywhere() {
+    // A partition that opens while ranks stage a checkpoint cuts some
+    // mirror frames but not others. Every rank must discard the staged
+    // snapshot together — the failed stagings ride the commit exchange —
+    // instead of some committing while the ranks whose mirror was cut
+    // roll back alone (which wedged the next exchange). Silent memory rot
+    // and a crash after the heal keep the audit, resync and adoption
+    // paths busy around the onset. Both windows below used to deadlock.
+    let graph = ic2_graph::generators::hex_grid_n(64);
+    let program = AvgProgram::fine();
+    let nprocs = 8;
+    let iterations = 12u32;
+    let oracle = seq::run_sequential(&graph, &program, iterations);
+    let clean_total = run(
+        &graph,
+        &program,
+        &Metis::default(),
+        || NoBalancer,
+        &RunConfig::new(nprocs, iterations).with_world(clean_world()),
+    )
+    .total_time;
+    for (from, until) in [(0.25, 0.5), (0.4, 0.65)] {
+        let plan = || {
+            let mut plan = FaultPlan::new(59);
+            for r in 0..nprocs {
+                plan = plan.with_memory_corrupt(r, 0.005);
+            }
+            plan.with_partition(
+                vec![vec![0, 1, 2, 3, 4], vec![5, 6, 7]],
+                clean_total * from,
+                clean_total * until,
+            )
+            .with_crash(2, clean_total * 0.8)
+            .with_detect_timeout(5e-4)
+        };
+        let cfg = |p| {
+            RunConfig::new(nprocs, iterations)
+                .with_checkpointing(3)
+                .with_state_audit(1)
+                .with_replication(2)
+                .with_partition_tolerance()
+                .with_world(world(p))
+                .with_validation()
+        };
+        let a = run(
+            &graph,
+            &program,
+            &Metis::default(),
+            || NoBalancer,
+            &cfg(plan()),
+        );
+        assert_eq!(
+            a.final_data, oracle,
+            "window {from}..{until} must stay exact"
+        );
+        assert!(a.faults.partition_cuts > 0, "{:?}", a.faults);
+        assert!(a.rollbacks >= 1);
+        let b = run(
+            &graph,
+            &program,
+            &Metis::default(),
+            || NoBalancer,
+            &cfg(plan()),
+        );
+        assert_eq!(a.final_data, b.final_data);
+        assert_eq!(a.total_time.to_bits(), b.total_time.to_bits());
+    }
 }

@@ -6,9 +6,10 @@
 //! verdict (see DESIGN.md, "State integrity") is that the failure was a
 //! misuse of the drain primitives, not a platform bug. The repro drained
 //! with `drain_one(None, tag)` into a map keyed by *source rank only*,
-//! while omitting the inter-round barrier that every production iteration
-//! ends with (`exchange::step` closes each round with a promote + barrier
-//! or control exchange). Without that barrier a fast peer legitimately
+//! while omitting the inter-round barrier that every production round
+//! ends with (the engine closes every `exchange::step` round, after its
+//! promote sweep, with a barrier or control exchange, and a shadow resync
+//! with a control exchange). Without that barrier a fast peer legitimately
 //! runs ahead: its round-`r+1` frame lands in the slow rank's mailbox
 //! while the round-`r` frame is still unabsorbed, and the source-keyed
 //! map overwrites the older frame. Delivery itself is FIFO per
@@ -58,7 +59,7 @@ fn round_barrier_prevents_runahead() {
             if me == 2 {
                 std::thread::sleep(Duration::from_millis(100));
             }
-            // send phase (mimics exchange::bounded_send)
+            // send phase (mimics exchange::send_shadows under bounded mailboxes)
             let mut frames: HashMap<usize, Envelope> = HashMap::new();
             for &p in &peers {
                 loop {
@@ -107,8 +108,8 @@ fn round_barrier_prevents_runahead() {
                 );
                 results.push((round, src, r));
             }
-            // The production discipline the original repro omitted: every
-            // iteration of exchange::step ends with a barrier (or control
+            // The production discipline the original repro omitted: the
+            // engine closes every exchange round with a barrier (or control
             // exchange), which is what makes source-keyed collection safe.
             rank.barrier();
         }
