@@ -74,7 +74,8 @@ fn ablation_batch() {
 }
 
 /// The [PSC95] claim behind the thesis's hash table: bucketed access vs a
-/// linear scan of the data-node list.
+/// linear scan of the data-node list, plus the compute pass's hinted
+/// access (positions resolved once, checked on every read).
 fn ablation_hashtab() {
     let n = 1024u32;
     header("ablation_hashtab");
@@ -91,6 +92,20 @@ fn ablation_hashtab() {
             acc
         });
     }
+    // Hinted access at the platform's default bucket count: the positions
+    // are resolved once, as `NodeStore::rebuild_lists` does.
+    let mut table = NodeTable::new(64);
+    for id in 0..n {
+        table.insert(id, id as i64);
+    }
+    let hints: Vec<u32> = (0..n).map(|id| table.position(id).unwrap()).collect();
+    bench("lookup_1024_buckets64_hinted", 100, || {
+        let mut acc = 0i64;
+        for (id, &hint) in (0..n).zip(&hints) {
+            acc += *table.get_at(black_box(id), hint).unwrap();
+        }
+        acc
+    });
     // The true linear-scan baseline: an unindexed data-node list.
     let list: Vec<(u32, i64)> = (0..n).map(|id| (id, id as i64)).collect();
     bench("lookup_1024_linear_scan", 100, || {

@@ -802,8 +802,9 @@ pub fn audit_overhead() -> Table {
 /// the virtual clock are schedule-independent (identical down the whole
 /// column). Credit stalls are canonical receiver-side counts — per round,
 /// `max(0, frames_present - capacity)` — so they are deterministic and
-/// monotone as capacity shrinks; only peak depth remains a wall-clock
-/// phenomenon.
+/// monotone as capacity shrinks. Peak mailbox depth is a host-scheduling
+/// observable (`RunReport::peak_mailbox_depth`), so it stays out of the
+/// table: every cell is reproducible byte for byte.
 pub fn capacity_backpressure() -> Table {
     let graph = w::hex(64);
     let program = AvgProgram::fine();
@@ -819,13 +820,12 @@ pub fn capacity_backpressure() -> Table {
          corrupt 5% + truncate 2%, seed 42)",
         "time and retransmits identical at every capacity (backpressure is invisible \
          to the virtual clock); canonical stall counts grow monotonically as capacity \
-         shrinks; peak depth varies with host scheduling",
+         shrinks",
         vec![
             "capacity".into(),
             "time (s)".into(),
             "retransmits".into(),
             "credit stalls".into(),
-            "peak mailbox depth".into(),
         ],
     );
     let mut reference: Option<ic2mpi::RunReport<i64>> = None;
@@ -857,7 +857,6 @@ pub fn capacity_backpressure() -> Table {
             secs(r.total_time),
             r.faults.retransmits.to_string(),
             r.credit_stalls.to_string(),
-            r.peak_mailbox_depth.to_string(),
         ]);
         reference.get_or_insert(r);
     }

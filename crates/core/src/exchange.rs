@@ -3,7 +3,7 @@
 use crate::costs::CostModel;
 use crate::paging::Pager;
 use crate::program::{ComputeCtx, NeighborData, NodeProgram};
-use crate::store::{LocalNode, NodeStore};
+use crate::store::{NodeList, NodeStore};
 use crate::timers::{Phase, PhaseTimers};
 use mpisim::{ArgValue, CtlSlot, CtlVerdict, Envelope, Rank, RetryPolicy};
 use std::time::{Duration, Instant};
@@ -298,6 +298,11 @@ pub(crate) fn catch_up_boundary<P: NodeProgram>(
 /// application node function, stage the result, and (for peripherals) pack
 /// the update into the outgoing buffers.
 ///
+/// Table reads and the staging write go through the position hints the
+/// list resolved at its last rebuild (checked on every use, see
+/// [`crate::hashtab`]), and one neighbour buffer serves the whole list, so
+/// the pass makes no heap allocation per node.
+///
 /// Dirty tracking happens at the pack site: a node is dirty iff the value
 /// it just computed differs from its current value — exactly the value
 /// every receiver's retained shadow holds, by induction from the last full
@@ -321,7 +326,7 @@ pub(crate) fn catch_up_boundary<P: NodeProgram>(
 fn compute_list<P: NodeProgram>(
     rank: &Rank,
     program: &P,
-    list: &[LocalNode],
+    list: &NodeList,
     table: &mut crate::hashtab::NodeTable<P::Data>,
     node_load: &mut [f64],
     pager: &mut Option<Pager>,
@@ -335,18 +340,25 @@ fn compute_list<P: NodeProgram>(
     mut track_changes: Option<&mut bool>,
 ) {
     let paged = pager.is_some();
+    // The neighbour buffer borrows the table, which each node's staging
+    // write then mutates: the emptied buffer is handed back between nodes
+    // with its borrow lifetime erased (same allocation, no references).
+    let mut spare: Vec<NeighborData<'static, P::Data>> = Vec::new();
+    let mut pages: Vec<usize> = Vec::new();
     for node in list {
         if let Some(pager) = pager.as_mut() {
-            pager.ensure(
-                table,
-                std::iter::once(node.id).chain(node.neighbors.iter().copied()),
-            );
+            pages.clear();
+            pages.push(table.bucket_index(node.id));
+            pages.extend(node.neighbors.iter().map(|&w| table.bucket_index(w)));
+            pages.sort_unstable();
+            pages.dedup();
+            pager.ensure(table, &pages);
         }
         // Computation overhead: form the list of the node and its
         // neighbours to hand to the node function.
         let t0 = rank.wtime();
         rank.advance(costs.per_list_item * (node.neighbors.len() + 1) as f64);
-        let own = match table.get(node.id) {
+        let own = match table.get_at(node.id, node.pos) {
             Some(d) => d,
             None if paged => continue,
             None => crate::error::invariant_violated(
@@ -354,11 +366,10 @@ fn compute_list<P: NodeProgram>(
                 format!("no data for owned node {} at compute", node.id),
             ),
         };
-        let mut neighbors: Vec<NeighborData<'_, P::Data>> =
-            Vec::with_capacity(node.neighbors.len());
+        let mut neighbors = recycle(std::mem::take(&mut spare));
         let mut incomplete = false;
-        for &w in &node.neighbors {
-            match table.get(w) {
+        for (&w, &hint) in node.neighbors.iter().zip(node.neighbor_pos) {
+            match table.get_at(w, hint) {
                 Some(data) => neighbors.push(NeighborData { id: w, data }),
                 None if paged => {
                     incomplete = true;
@@ -371,6 +382,7 @@ fn compute_list<P: NodeProgram>(
             }
         }
         if incomplete {
+            spare = recycle(neighbors);
             continue;
         }
         let t1 = rank.wtime();
@@ -379,6 +391,7 @@ fn compute_list<P: NodeProgram>(
         // The node computation itself, with its grain charged.
         rank.advance(program.cost(node.id, own, ctx));
         let next = program.compute(node.id, own, &neighbors, ctx);
+        spare = recycle(neighbors);
         let t2 = rank.wtime();
         timers.add(Phase::Compute, t2 - t1);
         node_load[node.id as usize] += t2 - t1;
@@ -395,13 +408,12 @@ fn compute_list<P: NodeProgram>(
             let t3 = rank.wtime();
             timers.add(Phase::ComputationOverhead, t3 - t2);
             let changed = !delta || next != *own;
-            drop(neighbors);
             if delta && changed {
                 stats.changed_nodes += 1;
             }
             if changed || !delta_active {
                 rank.advance(costs.per_shadow_pack * node.shadow_for.len() as f64);
-                for &p in &node.shadow_for {
+                for &p in node.shadow_for {
                     buffers[p as usize].push((node.id, next.clone()));
                 }
                 stats.entries_sent += node.shadow_for.len() as u64;
@@ -410,14 +422,22 @@ fn compute_list<P: NodeProgram>(
             }
             timers.add(Phase::CommunicationOverhead, rank.wtime() - t3);
         } else {
-            drop(neighbors);
             timers.add(Phase::ComputationOverhead, rank.wtime() - t2);
         }
-        table.set_pending(node.id, next);
+        table.set_pending_at(node.id, node.pos, next);
         if let Some(pager) = pager.as_mut() {
             pager.note_staged(table.bucket_index(node.id));
         }
     }
+}
+
+/// Empty `v` and retype it to any borrow lifetime, keeping its allocation:
+/// the in-place `collect` reuses the buffer of an element type with the
+/// same layout, and an empty vector holds no reference that could outlive
+/// its borrow.
+fn recycle<'b, D>(mut v: Vec<NeighborData<'_, D>>) -> Vec<NeighborData<'b, D>> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("cleared")).collect()
 }
 
 /// Fetch the installed pager on a code path only reachable in paged mode.
@@ -818,7 +838,7 @@ fn unpack<D: mpisim::Wire + Clone>(
         if paged {
             let b = store.table.bucket_index(id);
             let (pager, table) = (pager_mut(store.rank, &mut store.pager), &mut store.table);
-            pager.ensure(table, [id]);
+            pager.ensure(table, &[b]);
             if !store.table.contains(id) {
                 continue;
             }
@@ -869,8 +889,9 @@ where
     let mut buffers: ShadowBuffers<D> = vec![Vec::new(); store.nprocs];
     for node in &store.peripheral {
         if paged {
+            let b = store.table.bucket_index(node.id);
             let (pager, table) = (pager_mut(store.rank, &mut store.pager), &mut store.table);
-            pager.ensure(table, [node.id]);
+            pager.ensure(table, &[b]);
         }
         let cur = match store.table.get(node.id) {
             Some(d) => d,
@@ -886,7 +907,7 @@ where
             ),
         };
         rank.advance(costs.per_shadow_pack * node.shadow_for.len() as f64);
-        for &p in &node.shadow_for {
+        for &p in node.shadow_for {
             buffers[p as usize].push((node.id, cur.clone()));
         }
     }

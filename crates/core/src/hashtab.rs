@@ -12,8 +12,25 @@
 //! Each slot holds the *current* value plus an optional *pending* value
 //! (the thesis's `data` / `most_recent_data` pair): computation writes
 //! pending, and the end of the iteration promotes pending to current.
+//!
+//! **Hinted access.** The compute pass reads a node and its neighbours and
+//! stages one value per node update, every iteration, over a neighbourhood
+//! that only changes when the store rebuilds its lists. The store therefore
+//! resolves each entry's index within its bucket once per rebuild
+//! ([`NodeTable::position`]) and hands it back as a *hint* to
+//! [`NodeTable::get_at`] and [`NodeTable::set_pending_at`]. A hint is only
+//! an index: every use checks that the entry at that index carries the
+//! requested id, and a missing or stale hint — an insert shifted the bucket
+//! since, or a page came back from a damaged disk with different contents —
+//! falls back to the bucket's binary search. A wrong hint can cost a
+//! lookup its speed, never its answer. [`NO_HINT`] asks for the search
+//! outright.
 
 use ic2_graph::NodeId;
+
+/// A position hint that never matches: the lookup goes straight to the
+/// bucket's binary search.
+pub const NO_HINT: u32 = u32::MAX;
 
 #[derive(Debug, Clone, PartialEq)]
 struct Entry<D> {
@@ -34,6 +51,10 @@ impl<D> NodeTable<D> {
     /// `HASH_TABLE_LENGTH`).
     pub fn new(buckets: usize) -> Self {
         assert!(buckets > 0, "hash table needs at least one bucket");
+        assert!(
+            u32::try_from(buckets).is_ok(),
+            "bucket count must fit in 32 bits"
+        );
         NodeTable {
             buckets: (0..buckets).map(|_| Vec::new()).collect(),
             len: 0,
@@ -41,7 +62,19 @@ impl<D> NodeTable<D> {
     }
 
     fn bucket_of(&self, id: NodeId) -> usize {
-        id as usize % self.buckets.len()
+        // Ids are 32-bit and so is the bucket count (checked in `new`): the
+        // 32-bit division is the cheaper one on the per-node hot path.
+        (id % self.buckets.len() as u32) as usize
+    }
+
+    /// Index of `id` within bucket `b`: the entry at `hint` if it carries
+    /// `id`, else the binary search's answer.
+    fn find(&self, b: usize, id: NodeId, hint: u32) -> Option<usize> {
+        let bucket = &self.buckets[b];
+        match bucket.get(hint as usize) {
+            Some(e) if e.id == id => Some(hint as usize),
+            _ => bucket.binary_search_by_key(&id, |e| e.id).ok(),
+        }
     }
 
     /// The bucket index holding `id` — the out-of-core layer's page id for
@@ -62,8 +95,7 @@ impl<D> NodeTable<D> {
 
     /// Whether `id` has an entry.
     pub fn contains(&self, id: NodeId) -> bool {
-        let b = self.bucket_of(id);
-        self.buckets[b].binary_search_by_key(&id, |e| e.id).is_ok()
+        self.position(id).is_some()
     }
 
     /// Insert a node's data. Replaces (and returns) the previous current
@@ -90,11 +122,21 @@ impl<D> NodeTable<D> {
 
     /// Current data of `id`.
     pub fn get(&self, id: NodeId) -> Option<&D> {
+        self.get_at(id, NO_HINT)
+    }
+
+    /// `id`'s index within its bucket — the hint [`Self::get_at`] and
+    /// [`Self::set_pending_at`] take. `None` if `id` is not stored (or sits
+    /// on a page that is not resident).
+    pub fn position(&self, id: NodeId) -> Option<u32> {
+        self.find(self.bucket_of(id), id, NO_HINT).map(|i| i as u32)
+    }
+
+    /// [`Self::get`] through a position hint. The hint is checked against
+    /// the entry's id; a stale or missing one falls back to the search.
+    pub fn get_at(&self, id: NodeId, hint: u32) -> Option<&D> {
         let b = self.bucket_of(id);
-        self.buckets[b]
-            .binary_search_by_key(&id, |e| e.id)
-            .ok()
-            .map(|i| &self.buckets[b][i].cur)
+        self.find(b, id, hint).map(|i| &self.buckets[b][i].cur)
     }
 
     /// Overwrite the current value (shadow update after communication).
@@ -104,9 +146,9 @@ impl<D> NodeTable<D> {
     /// unknown node is a platform bug.
     pub fn set_current(&mut self, id: NodeId, data: D) {
         let b = self.bucket_of(id);
-        match self.buckets[b].binary_search_by_key(&id, |e| e.id) {
-            Ok(i) => self.buckets[b][i].cur = data,
-            Err(_) => panic!("set_current: node {id} not in table"),
+        match self.find(b, id, NO_HINT) {
+            Some(i) => self.buckets[b][i].cur = data,
+            None => panic!("set_current: node {id} not in table"),
         }
     }
 
@@ -115,19 +157,26 @@ impl<D> NodeTable<D> {
     /// # Panics
     /// Panics if `id` is not present.
     pub fn set_pending(&mut self, id: NodeId, data: D) {
+        self.set_pending_at(id, NO_HINT, data);
+    }
+
+    /// [`Self::set_pending`] through a position hint, checked like
+    /// [`Self::get_at`].
+    ///
+    /// # Panics
+    /// Panics if `id` is not present.
+    pub(crate) fn set_pending_at(&mut self, id: NodeId, hint: u32, data: D) {
         let b = self.bucket_of(id);
-        match self.buckets[b].binary_search_by_key(&id, |e| e.id) {
-            Ok(i) => self.buckets[b][i].pending = Some(data),
-            Err(_) => panic!("set_pending: node {id} not in table"),
+        match self.find(b, id, hint) {
+            Some(i) => self.buckets[b][i].pending = Some(data),
+            None => panic!("set_pending: node {id} not in table"),
         }
     }
 
     /// The staged value of `id`, if any.
     pub fn pending(&self, id: NodeId) -> Option<&D> {
         let b = self.bucket_of(id);
-        self.buckets[b]
-            .binary_search_by_key(&id, |e| e.id)
-            .ok()
+        self.find(b, id, NO_HINT)
             .and_then(|i| self.buckets[b][i].pending.as_ref())
     }
 
@@ -322,6 +371,71 @@ mod tests {
         assert_eq!(t.max_chain(), 5); // all odd ids share bucket 1
         let ids: Vec<NodeId> = t.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![1, 3, 5, 7, 9]);
+    }
+
+    #[test]
+    fn wrong_hints_still_find_the_right_entry() {
+        let mut t = NodeTable::new(2);
+        for id in [1u32, 3, 5, 7] {
+            t.insert(id, id * 10);
+        }
+        // 3 sits at index 1 of bucket 1; every other hint is wrong.
+        assert_eq!(t.position(3), Some(1));
+        for hint in [0, 2, 3, 4, 1000, NO_HINT] {
+            assert_eq!(t.get_at(3, hint), Some(&30), "hint {hint}");
+        }
+        assert_eq!(t.get_at(9, 1), None, "absent id under a live index");
+        t.set_pending_at(5, 0, 55);
+        assert_eq!(t.pending(5), Some(&55));
+        assert_eq!(t.pending(1), None, "the hinted slot's entry untouched");
+    }
+
+    #[test]
+    fn hints_go_stale_after_an_insert_shifts_the_bucket() {
+        let mut t = NodeTable::new(2);
+        for id in [3u32, 5, 7] {
+            t.insert(id, id);
+        }
+        let hints: Vec<u32> = [3u32, 5, 7].map(|id| t.position(id).unwrap()).to_vec();
+        t.insert(1, 1); // lands at index 0 and shifts every odd entry
+        for (id, hint) in [3u32, 5, 7].into_iter().zip(hints) {
+            assert_ne!(t.position(id), Some(hint), "insert must shift {id}");
+            assert_eq!(t.get_at(id, hint), Some(&id));
+            t.set_pending_at(id, hint, id + 100);
+        }
+        assert_eq!(t.promote_all(), 3);
+        assert_eq!(t.get(7), Some(&107));
+        assert_eq!(t.get(1), Some(&1));
+    }
+
+    #[test]
+    fn hints_survive_a_bucket_round_trip_and_a_changed_page() {
+        let mut t = NodeTable::new(2);
+        for id in [1u32, 3, 5, 7] {
+            t.insert(id, id);
+        }
+        let hint = t.position(5).unwrap();
+        let page = t.take_bucket(1);
+        assert_eq!(t.get_at(5, hint), None, "paged out");
+        t.install_bucket(1, page);
+        assert_eq!(t.get_at(5, hint), Some(&5), "same page, same positions");
+        // A page that comes back different (a damaged copy lost an entry)
+        // moves 5 down one slot: the stale hint must not hit 7.
+        let mut page = t.take_bucket(1);
+        page.remove(0);
+        t.install_bucket(1, page);
+        assert_eq!(t.get_at(5, hint), Some(&5));
+        t.set_pending_at(5, hint, 50);
+        assert_eq!(t.pending(7), None);
+        assert_eq!(t.pending(5), Some(&50));
+    }
+
+    #[test]
+    #[should_panic(expected = "not in table")]
+    fn set_pending_at_unknown_panics() {
+        let mut t: NodeTable<i32> = NodeTable::new(4);
+        t.insert(1, 0);
+        t.set_pending_at(9, 0, 0);
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub use migrate::{BalanceOutcome, MigrantPolicy};
 pub use mpisim::trace::{chrome_trace_json, timeline_json, RankTrace, TraceEvent};
 pub use paging::{BufferPool, EvictionPolicy, PageConfig, PageCounters};
 pub use program::{AvgProgram, ComputeCtx, NeighborData, NodeProgram};
-pub use store::{LocalNode, NodeStore};
+pub use store::{LocalNode, NodeList, NodeStore};
 pub use timers::{Phase, PhaseTimers};
 
 /// Convenient glob-import surface for applications.

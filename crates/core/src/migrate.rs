@@ -666,7 +666,7 @@ pub fn select_migrant<D>(
             continue;
         }
         let mut cut_delta = 0i64;
-        for &w in &node.neighbors {
+        for &w in node.neighbors {
             let p = store.owner[w as usize];
             if p == busy {
                 cut_delta += 1;

@@ -221,9 +221,10 @@ impl BufferPool {
         }
     }
 
-    /// Choose and remove the next victim, never one in `pinned`. `None`
-    /// when every resident page is pinned.
-    pub fn evict(&mut self, pinned: &BTreeSet<usize>) -> Option<usize> {
+    /// Choose and remove the next victim, never one in `pinned` (a handful
+    /// of pages: one node's neighbourhood). `None` when every resident page
+    /// is pinned.
+    pub fn evict(&mut self, pinned: &[usize]) -> Option<usize> {
         if !self.order.iter().any(|p| !pinned.contains(p)) {
             return None;
         }
@@ -426,25 +427,22 @@ impl Pager {
         self.ckpt_dirty.clear();
     }
 
-    /// Make the pages holding `ids` (and nothing less) resident, then
+    /// Make `pages` (ascending, distinct bucket indices) resident, then
     /// evict back down to budget sparing exactly those pages. The per-node
     /// hot path: one call pins a node's bucket and its neighbours'.
-    pub(crate) fn ensure<D>(
-        &mut self,
-        table: &mut NodeTable<D>,
-        ids: impl IntoIterator<Item = NodeId>,
-    ) where
+    pub(crate) fn ensure<D>(&mut self, table: &mut NodeTable<D>, pages: &[usize])
+    where
         D: Clone + Wire,
     {
-        let needed: BTreeSet<usize> = ids.into_iter().map(|id| table.bucket_index(id)).collect();
-        for &b in &needed {
+        debug_assert!(pages.windows(2).all(|w| w[0] < w[1]), "pages not ascending");
+        for &b in pages {
             if self.pool.contains(b) {
                 self.pool.touch(b);
             } else {
                 self.fault_in(table, b);
             }
         }
-        self.evict_to_budget(table, &needed);
+        self.evict_to_budget(table, pages);
     }
 
     /// Promote staged pending values page by page, faulting each staged
@@ -460,7 +458,6 @@ impl Pager {
         let staged = std::mem::take(&mut self.staged);
         let mut promoted = 0;
         for &b in &staged {
-            let pin = BTreeSet::from([b]);
             if self.pool.contains(b) {
                 self.pool.touch(b);
             } else {
@@ -474,7 +471,7 @@ impl Pager {
                 self.disk_dirty[b] = true;
             }
             promoted += n;
-            self.evict_to_budget(table, &pin);
+            self.evict_to_budget(table, &[b]);
         }
         promoted
     }
@@ -498,7 +495,7 @@ impl Pager {
     where
         D: Clone + Wire,
     {
-        self.evict_to_budget(table, &BTreeSet::new());
+        self.evict_to_budget(table, &[]);
     }
 
     /// Conservatively mark every page dirty — after bulk table surgery
@@ -557,7 +554,7 @@ impl Pager {
         self.pool.admit(b);
     }
 
-    fn evict_to_budget<D>(&mut self, table: &mut NodeTable<D>, pinned: &BTreeSet<usize>)
+    fn evict_to_budget<D>(&mut self, table: &mut NodeTable<D>, pinned: &[usize])
     where
         D: Clone + Wire,
     {
@@ -571,7 +568,7 @@ impl Pager {
         }
     }
 
-    fn evict_one<D>(&mut self, table: &mut NodeTable<D>, pinned: &BTreeSet<usize>) -> bool
+    fn evict_one<D>(&mut self, table: &mut NodeTable<D>, pinned: &[usize]) -> bool
     where
         D: Clone + Wire,
     {
@@ -755,7 +752,7 @@ mod tests {
 
     fn drive(pool: &mut BufferPool, accesses: &[usize]) -> (u64, u64) {
         let (mut hits, mut misses) = (0u64, 0u64);
-        let none = BTreeSet::new();
+        let none: [usize; 0] = [];
         for &p in accesses {
             if pool.contains(p) {
                 hits += 1;
@@ -779,7 +776,7 @@ mod tests {
             pool.admit(p);
         }
         pool.touch(1); // FIFO ignores accesses
-        let none = BTreeSet::new();
+        let none: [usize; 0] = [];
         assert_eq!(pool.evict(&none), Some(1));
         assert_eq!(pool.evict(&none), Some(2));
         assert!(!pool.contains(1));
@@ -793,7 +790,7 @@ mod tests {
             pool.admit(p);
         }
         pool.touch(1);
-        let none = BTreeSet::new();
+        let none: [usize; 0] = [];
         assert_eq!(pool.evict(&none), Some(2), "1 was touched, 2 is oldest");
     }
 
@@ -804,7 +801,7 @@ mod tests {
             pool.admit(p);
         }
         pool.touch(1);
-        let none = BTreeSet::new();
+        let none: [usize; 0] = [];
         // Hand passes 1 (referenced: cleared, spared) and lands on 2.
         assert_eq!(pool.evict(&none), Some(2));
         // 1's bit is now clear; the hand continues from 3.
@@ -818,7 +815,7 @@ mod tests {
             pool.admit(p);
         }
         pool.touch(1);
-        let none = BTreeSet::new();
+        let none: [usize; 0] = [];
         // Tail-ward hand: 1 is oldest (tail) but visited — retained; the
         // next unvisited tail-ward page is 2.
         assert_eq!(pool.evict(&none), Some(2));
@@ -835,9 +832,9 @@ mod tests {
             let mut pool = BufferPool::new(policy, 2);
             pool.admit(7);
             pool.admit(9);
-            let pinned: BTreeSet<usize> = [7, 9].into();
+            let pinned = [7, 9];
             assert_eq!(pool.evict(&pinned), None, "{policy:?} evicted a pin");
-            let pinned: BTreeSet<usize> = [7].into();
+            let pinned = [7];
             assert_eq!(pool.evict(&pinned), Some(9), "{policy:?}");
         }
     }

@@ -4,7 +4,7 @@
 use crate::audit::{entry_hash, AuditState};
 use crate::costs::CostModel;
 use crate::error::{PlatformError, StoreViolation};
-use crate::hashtab::NodeTable;
+use crate::hashtab::{NodeTable, NO_HINT};
 use crate::paging::{PageConfig, Pager};
 use crate::program::NodeProgram;
 use ic2_graph::{Graph, NodeId, Partition};
@@ -12,24 +12,167 @@ use mpisim::{DiskTiming, FaultPlan, Wire};
 
 /// Node information maintained per owned node (the thesis's `own_node`
 /// struct, Figure 7): identity, neighbourhood, and which processors hold
-/// this node as a shadow.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LocalNode {
+/// this node as a shadow — a view into one row of a [`NodeList`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LocalNode<'a> {
     /// Global node id.
     pub id: NodeId,
+    /// Position hint of the node's own table entry (see
+    /// [`crate::hashtab`]).
+    pub pos: u32,
     /// Global ids of the node's neighbours (the `neighboring_nodes[]`
     /// array).
-    pub neighbors: Vec<NodeId>,
+    pub neighbors: &'a [NodeId],
+    /// Position hints of the neighbours' table entries, parallel to
+    /// `neighbors`.
+    pub neighbor_pos: &'a [u32],
     /// Distinct remote processors owning at least one neighbour — the
     /// processors for which this node is a shadow (`shadow_for_procs[]`).
     /// Empty iff the node is internal.
-    pub shadow_for: Vec<u32>,
+    pub shadow_for: &'a [u32],
 }
 
-impl LocalNode {
+impl LocalNode<'_> {
     /// Internal nodes have every neighbour on their own processor.
     pub fn is_internal(&self) -> bool {
         self.shadow_for.is_empty()
+    }
+}
+
+/// One of the store's owned-node lists, laid out flat: parallel per-node
+/// columns plus two CSR arrays (neighbour ids with their table position
+/// hints, and `shadow_for` processors), so a rebuild makes a handful of
+/// allocations rather than one per node, and the compute pass walks
+/// contiguous memory. Rows are read as [`LocalNode`] views.
+#[derive(Debug, Clone, Default)]
+pub struct NodeList {
+    ids: Vec<NodeId>,
+    pos: Vec<u32>,
+    /// Row `i`'s neighbours are `adj[adj_start[i]..adj_start[i + 1]]`.
+    adj_start: Vec<u32>,
+    adj: Vec<NodeId>,
+    adj_pos: Vec<u32>,
+    /// Row `i`'s shadow holders are
+    /// `shadow_for[shadow_start[i]..shadow_start[i + 1]]`.
+    shadow_start: Vec<u32>,
+    shadow_for: Vec<u32>,
+}
+
+impl NodeList {
+    /// Number of nodes in the list.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Whether the list is empty.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Row `i`.
+    ///
+    /// # Panics
+    /// Panics if `i >= self.len()`.
+    pub(crate) fn get(&self, i: usize) -> LocalNode<'_> {
+        let (a0, a1) = (self.adj_start[i] as usize, self.adj_start[i + 1] as usize);
+        let (s0, s1) = (
+            self.shadow_start[i] as usize,
+            self.shadow_start[i + 1] as usize,
+        );
+        LocalNode {
+            id: self.ids[i],
+            pos: self.pos[i],
+            neighbors: &self.adj[a0..a1],
+            neighbor_pos: &self.adj_pos[a0..a1],
+            shadow_for: &self.shadow_for[s0..s1],
+        }
+    }
+
+    /// The rows in list order.
+    pub fn iter(&self) -> Iter<'_> {
+        Iter {
+            list: self,
+            next: 0,
+        }
+    }
+
+    fn columns_mut(&mut self) -> [&mut Vec<u32>; 7] {
+        [
+            &mut self.ids,
+            &mut self.pos,
+            &mut self.adj_start,
+            &mut self.adj,
+            &mut self.adj_pos,
+            &mut self.shadow_start,
+            &mut self.shadow_for,
+        ]
+    }
+
+    /// Empty the list and size every column for exactly `rows` rows with
+    /// `adj` neighbours and `shadows` shadow holders in total: the rebuild
+    /// then grows no column and leaves no slack behind.
+    fn reset(&mut self, rows: usize, adj: usize, shadows: usize) {
+        let sizes = [rows, rows, rows + 1, adj, adj, rows + 1, shadows];
+        for (col, n) in self.columns_mut().into_iter().zip(sizes) {
+            col.clear();
+            col.reserve_exact(n);
+            col.shrink_to(n);
+        }
+        self.adj_start.push(0);
+        self.shadow_start.push(0);
+    }
+
+    /// Append node `id` (table position hint `pos`) with its neighbours
+    /// `(id, hint)` and its `shadow_for` processors.
+    fn push(
+        &mut self,
+        id: NodeId,
+        pos: u32,
+        neighbors: impl Iterator<Item = (NodeId, u32)>,
+        shadow_for: &[u32],
+    ) {
+        self.ids.push(id);
+        self.pos.push(pos);
+        for (w, hint) in neighbors {
+            self.adj.push(w);
+            self.adj_pos.push(hint);
+        }
+        let end = |len: usize| u32::try_from(len).expect("a rank's list fits u32 offsets");
+        self.adj_start.push(end(self.adj.len()));
+        self.shadow_for.extend_from_slice(shadow_for);
+        self.shadow_start.push(end(self.shadow_for.len()));
+    }
+}
+
+/// Iterator over a [`NodeList`]'s rows.
+#[derive(Debug, Clone)]
+pub struct Iter<'a> {
+    list: &'a NodeList,
+    next: usize,
+}
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = LocalNode<'a>;
+    fn next(&mut self) -> Option<LocalNode<'a>> {
+        let i = self.next;
+        (i < self.list.len()).then(|| {
+            self.next += 1;
+            self.list.get(i)
+        })
+    }
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.list.len() - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
+impl<'a> IntoIterator for &'a NodeList {
+    type Item = LocalNode<'a>;
+    type IntoIter = Iter<'a>;
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
     }
 }
 
@@ -48,12 +191,12 @@ pub struct NodeStore<D> {
     /// barrier-elided inner rounds advance on their own: no internal
     /// node's neighbourhood crosses a rank boundary, so their updates need
     /// no exchange until the next global round.
-    pub internal: Vec<LocalNode>,
+    pub internal: NodeList,
     /// Owned nodes with at least one remote neighbour — the *boundary*
     /// set. Hybrid execution defers their compute passes to the next
     /// global round's catch-up, which replays the elided iterations for
     /// exactly these nodes before the full exchange.
-    pub peripheral: Vec<LocalNode>,
+    pub peripheral: NodeList,
     /// Data for owned nodes *and* shadow nodes.
     pub table: NodeTable<D>,
     /// Global node → owning processor, replicated on every rank and kept
@@ -115,8 +258,8 @@ impl<D: Clone> NodeStore<D> {
         let mut store = NodeStore {
             rank,
             nprocs,
-            internal: Vec::new(),
-            peripheral: Vec::new(),
+            internal: NodeList::default(),
+            peripheral: NodeList::default(),
             table: NodeTable::new(hash_buckets),
             owner,
             send_counts: vec![0; nprocs],
@@ -168,42 +311,66 @@ impl<D> NodeStore<D> {
     /// send plan from the owner map — used at initialization and after
     /// task migration (the thesis re-derives `shadow_for_procs[]` and
     /// `buffer_size_for_communication` the same way at the end of
-    /// `task_migrate`).
+    /// `task_migrate`). Every table insert is followed by a rebuild, so
+    /// this is also where each owned node's own and neighbour table
+    /// positions are resolved, once, for the compute pass to use as hints.
     pub fn rebuild_lists(&mut self, graph: &Graph) {
-        self.internal.clear();
-        self.peripheral.clear();
         self.send_counts = vec![0; self.nprocs];
         // Boundaries just changed shape: receivers may now hold shadows
         // this rank never refreshed under delta packing, so the next
         // exchange must be a full one.
         self.needs_resync = true;
+        let mut shadow_for: Vec<u32> = Vec::new();
+        // First pass: size both lists exactly ([internal, peripheral] rows,
+        // neighbours and shadow holders).
+        let mut sizes = [[0usize; 3]; 2];
+        for v in graph.nodes() {
+            if self.owner[v as usize] == self.rank {
+                self.shadow_owners(graph, v, &mut shadow_for);
+                let size = &mut sizes[usize::from(!shadow_for.is_empty())];
+                size[0] += 1;
+                size[1] += graph.neighbors(v).len();
+                size[2] += shadow_for.len();
+            }
+        }
+        let [[rows, adj, shadows], [prows, padj, pshadows]] = sizes;
+        self.internal.reset(rows, adj, shadows);
+        self.peripheral.reset(prows, padj, pshadows);
+        let hint = |id| self.table.position(id).unwrap_or(NO_HINT);
         for v in graph.nodes() {
             if self.owner[v as usize] != self.rank {
                 continue;
             }
-            let neighbors: Vec<NodeId> = graph.neighbors(v).to_vec();
-            let mut shadow_for: Vec<u32> = Vec::new();
-            for &w in &neighbors {
-                let p = self.owner[w as usize];
-                if p != self.rank && !shadow_for.contains(&p) {
-                    shadow_for.push(p);
-                }
-            }
-            shadow_for.sort_unstable();
+            self.shadow_owners(graph, v, &mut shadow_for);
             for &p in &shadow_for {
                 self.send_counts[p as usize] += 1;
             }
-            let node = LocalNode {
-                id: v,
-                neighbors,
-                shadow_for,
-            };
-            if node.is_internal() {
-                self.internal.push(node);
+            let list = if shadow_for.is_empty() {
+                &mut self.internal
             } else {
-                self.peripheral.push(node);
+                &mut self.peripheral
+            };
+            let neighbors = graph.neighbors(v);
+            list.push(
+                v,
+                hint(v),
+                neighbors.iter().map(|&w| (w, hint(w))),
+                &shadow_for,
+            );
+        }
+    }
+
+    /// The distinct remote processors owning a neighbour of `v`, ascending,
+    /// into `out`: the processors for which `v` is a shadow.
+    fn shadow_owners(&self, graph: &Graph, v: NodeId, out: &mut Vec<u32>) {
+        out.clear();
+        for &w in graph.neighbors(v) {
+            let p = self.owner[w as usize];
+            if p != self.rank && !out.contains(&p) {
+                out.push(p);
             }
         }
+        out.sort_unstable();
     }
 
     /// Snapshot every locally stored entry — owned nodes *and* shadows —
@@ -259,7 +426,7 @@ impl<D> NodeStore<D> {
     pub(crate) fn shadow_ids(&self) -> Vec<NodeId> {
         let mut ids: Vec<NodeId> = Vec::new();
         for node in &self.peripheral {
-            for &w in &node.neighbors {
+            for &w in node.neighbors {
                 if self.owner[w as usize] != self.rank && !ids.contains(&w) {
                     ids.push(w);
                 }
@@ -443,7 +610,7 @@ impl<D> NodeStore<D> {
     pub fn recv_procs(&self) -> Vec<u32> {
         let mut procs: Vec<u32> = Vec::new();
         for node in &self.peripheral {
-            for &w in &node.neighbors {
+            for &w in node.neighbors {
                 let p = self.owner[w as usize];
                 if p != self.rank && !procs.contains(&p) {
                     procs.push(p);
@@ -543,7 +710,7 @@ impl<D> NodeStore<D> {
         // Send plan consistent with shadow_for.
         let mut counts = vec![0usize; self.nprocs];
         for node in &self.peripheral {
-            for &p in &node.shadow_for {
+            for &p in node.shadow_for {
                 counts[p as usize] += 1;
             }
         }
@@ -565,11 +732,15 @@ mod tests {
     use ic2_partition::{metis::Metis, StaticPartitioner};
 
     fn build_stores(k: usize) -> (Graph, Vec<NodeStore<i64>>) {
+        build_stores_in(k, 64)
+    }
+
+    fn build_stores_in(k: usize, buckets: usize) -> (Graph, Vec<NodeStore<i64>>) {
         let graph = hex_grid(4, 8);
         let part = Metis::default().partition(&graph, k);
         let program = AvgProgram::fine();
         let stores = (0..k as u32)
-            .map(|r| NodeStore::build(&graph, &part, r, &program, 64))
+            .map(|r| NodeStore::build(&graph, &part, r, &program, buckets))
             .collect();
         (graph, stores)
     }
@@ -594,7 +765,7 @@ mod tests {
         let (graph, stores) = build_stores(4);
         for s in &stores {
             for node in &s.peripheral {
-                for &w in &node.neighbors {
+                for &w in node.neighbors {
                     assert!(s.table.contains(w), "rank {} missing {w}", s.rank);
                 }
             }
@@ -653,6 +824,164 @@ mod tests {
             })
             .sum();
         assert_eq!(total_sends, ic2_graph::metrics::comm_volume(&graph, &part));
+    }
+
+    /// Every row's own and neighbour reads through its hints — exactly as
+    /// the compute pass makes them — agree with the plain lookups (missing
+    /// entries included), and a hinted staging write lands on the row's own
+    /// entry.
+    fn assert_hinted_access_is_exact(s: &mut NodeStore<i64>) {
+        let lists = [s.internal.clone(), s.peripheral.clone()];
+        for n in lists.iter().flat_map(NodeList::iter) {
+            let (id, pos) = (n.id, n.pos);
+            assert_eq!(s.table.get_at(id, pos), s.table.get(id), "own {id}");
+            for (&w, &hint) in n.neighbors.iter().zip(n.neighbor_pos) {
+                assert_eq!(s.table.get_at(w, hint), s.table.get(w), "{w} of {id}");
+            }
+            if s.table.contains(id) {
+                let staged = -1 - i64::from(id);
+                s.table.set_pending_at(id, pos, staged);
+                assert_eq!(s.table.pending(id), Some(&staged));
+            }
+        }
+        // Each staging write hit its own entry: one pending value per
+        // stored owned node, none anywhere else.
+        let stored = s.internal.iter().chain(&s.peripheral);
+        let stored = stored.filter(|n| s.table.contains(n.id)).count();
+        assert_eq!(s.table.promote_all(), stored);
+        for n in s.internal.iter().chain(&s.peripheral) {
+            if let Some(&d) = s.table.get(n.id) {
+                assert_eq!(d, -1 - i64::from(n.id));
+            }
+        }
+    }
+
+    #[test]
+    fn rebuild_resolves_exact_hints() {
+        let (_, mut stores) = build_stores_in(4, 4);
+        for s in &mut stores {
+            for n in s.internal.iter().chain(&s.peripheral) {
+                assert_eq!(s.table.position(n.id), Some(n.pos));
+                for (&w, &hint) in n.neighbors.iter().zip(n.neighbor_pos) {
+                    assert_eq!(s.table.position(w), Some(hint));
+                }
+            }
+            assert_hinted_access_is_exact(s);
+        }
+    }
+
+    #[test]
+    fn wrong_hints_read_and_stage_the_right_entries() {
+        let (_, mut stores) = build_stores_in(4, 4);
+        let s = &mut stores[1];
+        // Scramble every hint in place, as a corrupted list would.
+        for list in [&mut s.internal, &mut s.peripheral] {
+            for (i, h) in list.pos.iter_mut().chain(&mut list.adj_pos).enumerate() {
+                *h = (*h + 1 + i as u32 % 3) % 4;
+            }
+        }
+        assert_hinted_access_is_exact(s);
+    }
+
+    #[test]
+    fn stale_hints_after_an_insert_shift_still_read_right() {
+        let (graph, mut stores) = build_stores_in(4, 4);
+        let s = &mut stores[2];
+        // Insert the smallest ids this rank does not store: each lands at
+        // the front of its bucket and shifts every hint behind it, and the
+        // lists are deliberately not rebuilt.
+        let mut inserted = 0;
+        for v in graph.nodes() {
+            if !s.table.contains(v) {
+                s.table.insert(v, 0);
+                inserted += 1;
+            }
+            if inserted == 8 {
+                break;
+            }
+        }
+        let stale = s
+            .internal
+            .iter()
+            .chain(&s.peripheral)
+            .filter(|n| s.table.position(n.id) != Some(n.pos))
+            .count();
+        assert!(stale > 0, "the inserts must shift some hinted entry");
+        assert_hinted_access_is_exact(s);
+    }
+
+    #[test]
+    fn stale_hints_after_a_page_round_trip_still_read_right() {
+        let (_, mut stores) = build_stores_in(4, 4);
+        let s = &mut stores[0];
+        let b = s.table.bucket_index(s.peripheral.get(0).id);
+        // The page comes back as written: hints stay exact.
+        let page = s.table.take_bucket(b);
+        s.table.install_bucket(b, page);
+        assert_hinted_access_is_exact(s);
+        // The page comes back from a damaged copy without its first entry:
+        // every hint into the page is now one past its entry, and the lost
+        // entry must read as missing rather than as its successor.
+        let mut page = s.table.take_bucket(b);
+        assert!(page.len() > 1, "test needs a chain");
+        page.remove(0);
+        s.table.install_bucket(b, page);
+        assert_hinted_access_is_exact(s);
+    }
+
+    #[test]
+    fn hints_after_restore_are_fresh_and_old_ones_still_read_right() {
+        let (graph, mut stores) = build_stores_in(4, 4);
+        let s = &mut stores[3];
+        let old = s.clone();
+        // Restore under a different owner map: rank 3 adopts rank 0's
+        // nodes, so the table gains entries and every bucket shifts.
+        let owner: Vec<u32> = s
+            .owner
+            .iter()
+            .map(|&p| if p == 0 { 3 } else { p })
+            .collect();
+        let entries: Vec<(NodeId, i64)> = graph.nodes().map(|v| (v, i64::from(v) + 1)).collect();
+        s.restore(&graph, owner, entries);
+        s.validate(&graph).unwrap();
+        for n in s.internal.iter().chain(&s.peripheral) {
+            assert_eq!(s.table.position(n.id), Some(n.pos), "fresh hint");
+        }
+        // The pre-restore hints are stale against the new table but still
+        // read the right data.
+        for n in old.internal.iter().chain(&old.peripheral) {
+            assert_eq!(s.table.get_at(n.id, n.pos), s.table.get(n.id));
+            for (&w, &hint) in n.neighbors.iter().zip(n.neighbor_pos) {
+                assert_eq!(s.table.get_at(w, hint), s.table.get(w));
+            }
+        }
+        assert_hinted_access_is_exact(s);
+    }
+
+    #[test]
+    fn validate_checks_the_flat_lists() {
+        let (graph, stores) = build_stores(4);
+        let s = stores.iter().find(|s| !s.peripheral.is_empty()).unwrap();
+        let id = s.peripheral.get(0).id;
+        let mut bad = s.clone();
+        bad.peripheral.adj[0] = bad.peripheral.adj[1];
+        assert!(matches!(
+            bad.check_invariants(&graph),
+            Err(StoreViolation::StaleNeighborList { node }) if node == id
+        ));
+        let mut bad = s.clone();
+        bad.peripheral.shadow_for[0] = s.rank;
+        assert!(matches!(
+            bad.check_invariants(&graph),
+            Err(StoreViolation::ShadowForMismatch { node }) if node == id
+        ));
+        let mut bad = s.clone();
+        let p = s.peripheral.get(0).shadow_for[0] as usize;
+        bad.send_counts[p] += 1;
+        assert!(matches!(
+            bad.check_invariants(&graph),
+            Err(StoreViolation::SendPlanMismatch { .. })
+        ));
     }
 
     #[test]

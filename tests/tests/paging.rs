@@ -10,7 +10,6 @@ use ic2mpi::paging::BufferPool;
 use ic2mpi::prelude::*;
 use ic2mpi::seq;
 use mpisim::NetModel;
-use std::collections::BTreeSet;
 use std::time::Duration;
 
 const POLICIES: [EvictionPolicy; 4] = [
@@ -42,7 +41,7 @@ fn stream(seed: u64, len: usize, pages: usize) -> Vec<usize> {
 /// evict back down to budget. Returns (hits, victim sequence).
 fn simulate(policy: EvictionPolicy, budget: usize, accesses: &[usize]) -> (u64, Vec<usize>) {
     let mut pool = BufferPool::new(policy, budget);
-    let pinned = BTreeSet::new();
+    let pinned: [usize; 0] = [];
     let mut hits = 0u64;
     let mut victims = Vec::new();
     for &page in accesses {
@@ -123,7 +122,7 @@ fn pool_never_exceeds_budget_and_never_evicts_pinned_pages() {
     for policy in POLICIES {
         let budget = 5usize;
         let mut pool = BufferPool::new(policy, budget);
-        let pinned: BTreeSet<usize> = [0, 1].into_iter().collect();
+        let pinned = [0usize, 1];
         for page in [0usize, 1] {
             pool.admit(page);
         }
@@ -155,7 +154,7 @@ fn evict_returns_none_when_every_resident_page_is_pinned() {
         let mut pool = BufferPool::new(policy, 1);
         pool.admit(0);
         pool.admit(1);
-        let pinned: BTreeSet<usize> = [0, 1].into_iter().collect();
+        let pinned = [0usize, 1];
         assert!(pool.over_budget());
         assert_eq!(pool.evict(&pinned), None, "{policy:?}");
         assert!(pool.contains(0) && pool.contains(1), "{policy:?}");
