@@ -27,6 +27,7 @@
 //! outright.
 
 use ic2_graph::NodeId;
+use mpisim::{Wire, WireError};
 
 /// A position hint that never matches: the lookup goes straight to the
 /// bucket's binary search.
@@ -225,29 +226,11 @@ impl<D> NodeTable<D> {
         self.buckets.len()
     }
 
-    /// Remove and return bucket `b`'s entries as `(id, current, pending)`
-    /// triples in ascending id order — page-out for the paging layer.
-    pub(crate) fn take_bucket(&mut self, b: usize) -> Vec<(NodeId, D, Option<D>)> {
-        let entries = std::mem::take(&mut self.buckets[b]);
-        self.len -= entries.len();
-        entries
-            .into_iter()
-            .map(|e| (e.id, e.cur, e.pending))
-            .collect()
-    }
-
-    /// Install a previously paged-out (or freshly read) bucket. The slot
-    /// must be empty — pages are whole buckets, never merged.
-    pub(crate) fn install_bucket(&mut self, b: usize, entries: Vec<(NodeId, D, Option<D>)>) {
-        debug_assert!(
-            self.buckets[b].is_empty(),
-            "install over non-empty bucket {b}"
-        );
-        self.len += entries.len();
-        self.buckets[b] = entries
-            .into_iter()
-            .map(|(id, cur, pending)| Entry { id, cur, pending })
-            .collect();
+    /// Release bucket `b`'s entries and their memory — page-out, once the
+    /// page image is safe on disk.
+    pub(crate) fn drop_bucket(&mut self, b: usize) {
+        self.len -= self.buckets[b].len();
+        self.buckets[b] = Vec::new();
     }
 
     /// [`Self::promote_all_with`] restricted to bucket `b` — the paging
@@ -268,6 +251,48 @@ impl<D> NodeTable<D> {
     /// degrades to long chains on 1024-node domains).
     pub fn max_chain(&self) -> usize {
         self.buckets.iter().map(Vec::len).max().unwrap_or(0)
+    }
+}
+
+/// A page image is a bucket's entries in ascending id order, each as its
+/// `(id, current, pending)` triple: the wire encoding of a
+/// `Vec<(NodeId, D, Option<D>)>`.
+impl<D: Wire> Wire for Entry<D> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.id.encode(out);
+        self.cur.encode(out);
+        self.pending.encode(out);
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(Entry {
+            id: NodeId::decode(buf)?,
+            cur: D::decode(buf)?,
+            pending: Option::<D>::decode(buf)?,
+        })
+    }
+}
+
+impl<D: Wire> NodeTable<D> {
+    /// Append bucket `b`'s page image to `out` (see the [`Wire`] impl of
+    /// its entries). The paging layer encodes straight from the resident
+    /// bucket into its one reused image buffer.
+    pub(crate) fn encode_bucket(&self, b: usize, out: &mut Vec<u8>) {
+        self.buckets[b].encode(out);
+    }
+
+    /// Install bucket `b` from a page image [`Self::encode_bucket`] wrote,
+    /// decoding in place from the caller's bytes. The bucket must be
+    /// empty — pages are whole buckets, never merged — and stays empty
+    /// when the image does not decode.
+    pub(crate) fn install_image(&mut self, b: usize, image: &[u8]) -> Result<(), WireError> {
+        debug_assert!(
+            self.buckets[b].is_empty(),
+            "install over non-empty bucket {b}"
+        );
+        let entries = Vec::<Entry<D>>::from_bytes(image)?;
+        self.len += entries.len();
+        self.buckets[b] = entries;
+        Ok(())
     }
 }
 
@@ -415,15 +440,18 @@ mod tests {
             t.insert(id, id);
         }
         let hint = t.position(5).unwrap();
-        let page = t.take_bucket(1);
+        let mut image = Vec::new();
+        t.encode_bucket(1, &mut image);
+        t.drop_bucket(1);
         assert_eq!(t.get_at(5, hint), None, "paged out");
-        t.install_bucket(1, page);
+        t.install_image(1, &image).unwrap();
         assert_eq!(t.get_at(5, hint), Some(&5), "same page, same positions");
         // A page that comes back different (a damaged copy lost an entry)
         // moves 5 down one slot: the stale hint must not hit 7.
-        let mut page = t.take_bucket(1);
+        let mut page = Vec::<(NodeId, u32, Option<u32>)>::from_bytes(&image).unwrap();
         page.remove(0);
-        t.install_bucket(1, page);
+        t.drop_bucket(1);
+        t.install_image(1, &page.to_bytes()).unwrap();
         assert_eq!(t.get_at(5, hint), Some(&5));
         t.set_pending_at(5, hint, 50);
         assert_eq!(t.pending(7), None);

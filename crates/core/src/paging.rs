@@ -44,7 +44,6 @@
 use crate::hashtab::NodeTable;
 use ic2_graph::NodeId;
 use mpisim::{frame_checksum, DiskCounters, DiskTiming, FaultPlan, VirtualDisk, Wire};
-use std::collections::BTreeSet;
 
 /// Checksum domain for page blobs (distinct from every wire/audit seed).
 const PAGE_SEED: u64 = 0x8cb9_2ba7_2f3d_8dd7;
@@ -292,14 +291,48 @@ impl BufferPool {
     }
 }
 
+/// A set of pages as a bitset over the dense page indices: a constant-time
+/// insert on the per-node hot path, and ascending iteration for the passes
+/// whose victim sequences depend on page order.
+#[derive(Debug, Clone)]
+struct PageSet {
+    words: Vec<u64>,
+}
+
+impl PageSet {
+    /// An empty set over pages `0..pages`.
+    fn new(pages: usize) -> Self {
+        PageSet {
+            words: vec![0; pages.div_ceil(64)],
+        }
+    }
+
+    fn insert(&mut self, page: usize) {
+        self.words[page / 64] |= 1 << (page % 64);
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// The members in ascending order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &bits)| {
+            // Each step clears the lowest set bit.
+            std::iter::successors((bits != 0).then_some(bits), |&rest| {
+                let rest = rest & (rest - 1);
+                (rest != 0).then_some(rest)
+            })
+            .map(move |rest| w * 64 + rest.trailing_zeros() as usize)
+        })
+    }
+}
+
 /// What a page read found.
-enum PageRead<D> {
-    /// A verified copy (`from_shadow` says the primary failed and the
-    /// shadow slot saved it).
-    Good {
-        entries: Vec<(NodeId, D, Option<D>)>,
-        from_shadow: bool,
-    },
+enum PageRead {
+    /// A verified copy, installed (`from_shadow` says the primary failed
+    /// and the shadow slot saved it).
+    Good { from_shadow: bool },
     /// Every copy failed verification after retries.
     Lost,
 }
@@ -328,9 +361,14 @@ pub(crate) struct Pager {
     disk_dirty: Vec<bool>,
     /// Pages mutated since the last committed checkpoint (drives the
     /// incremental page-diff mirror).
-    ckpt_dirty: BTreeSet<usize>,
+    ckpt_dirty: PageSet,
     /// Pages holding staged pending values this phase.
-    staged: BTreeSet<usize>,
+    staged: PageSet,
+    /// The one page-image buffer every commit encodes into: an 8-byte
+    /// checksum prefix, then the bucket's entries. Read-back and mirror
+    /// compare and write from it, so a commit allocates no image of its
+    /// own.
+    image: Vec<u8>,
     /// Latched when any page lost every verified copy (or a commit could
     /// not secure one): the agreed signal that forces a rollback.
     damaged: bool,
@@ -366,8 +404,9 @@ impl Pager {
             next_version: 1,
             on_disk: vec![false; nbuckets],
             disk_dirty: vec![false; nbuckets],
-            ckpt_dirty: BTreeSet::new(),
-            staged: BTreeSet::new(),
+            ckpt_dirty: PageSet::new(nbuckets),
+            staged: PageSet::new(nbuckets),
+            image: Vec::new(),
             damaged: false,
             pending: 0.0,
             backoff,
@@ -419,7 +458,7 @@ impl Pager {
 
     /// Pages mutated since the last committed checkpoint, ascending.
     pub(crate) fn ckpt_dirty_pages(&self) -> Vec<usize> {
-        self.ckpt_dirty.iter().copied().collect()
+        self.ckpt_dirty.iter().collect()
     }
 
     /// A checkpoint carrying the current dirty set committed.
@@ -455,9 +494,9 @@ impl Pager {
     where
         D: Clone + Wire,
     {
-        let staged = std::mem::take(&mut self.staged);
+        let mut staged = std::mem::replace(&mut self.staged, PageSet::new(0));
         let mut promoted = 0;
-        for &b in &staged {
+        for b in staged.iter() {
             if self.pool.contains(b) {
                 self.pool.touch(b);
             } else {
@@ -473,6 +512,8 @@ impl Pager {
             promoted += n;
             self.evict_to_budget(table, &[b]);
         }
+        staged.clear();
+        self.staged = staged;
         promoted
     }
 
@@ -519,9 +560,11 @@ impl Pager {
             pool.admit(b);
         }
         self.pool = pool;
-        self.on_disk = vec![false; self.nbuckets];
-        self.disk_dirty = vec![true; self.nbuckets];
-        self.ckpt_dirty = (0..self.nbuckets).collect();
+        self.on_disk.fill(false);
+        self.disk_dirty.fill(true);
+        for b in 0..self.nbuckets {
+            self.ckpt_dirty.insert(b);
+        }
         self.staged.clear();
         self.damaged = false;
     }
@@ -531,12 +574,8 @@ impl Pager {
         D: Clone + Wire,
     {
         self.counters.page_faults += 1;
-        match self.read_page::<D>(b) {
-            PageRead::Good {
-                entries,
-                from_shadow,
-            } => {
-                table.install_bucket(b, entries);
+        match self.read_page(table, b) {
+            PageRead::Good { from_shadow } => {
                 if from_shadow {
                     // The primary copy is gone: re-mark dirty so the next
                     // eviction recommits a fresh pair of verified copies.
@@ -575,71 +614,58 @@ impl Pager {
         let Some(b) = self.pool.evict(pinned) else {
             return false;
         };
-        let entries = table.take_bucket(b);
         if self.disk_dirty[b] || !self.on_disk[b] {
-            if self.write_page(b, &entries) {
+            if self.write_page(table, b) {
                 self.disk_dirty[b] = false;
                 self.on_disk[b] = true;
             } else {
                 // No verified copy could be secured: keep the page in RAM
                 // (over budget beats data loss) and latch damage so the
                 // platform escalates to rollback.
-                table.install_bucket(b, entries);
                 self.pool.admit(b);
                 self.damaged = true;
                 return false;
             }
         }
+        table.drop_bucket(b);
         self.counters.pages_evicted += 1;
         true
     }
 
-    fn blob<D: Wire + Clone>(
-        &self,
-        b: usize,
-        version: u64,
-        entries: &[(NodeId, D, Option<D>)],
-    ) -> Vec<u8> {
-        let payload = entries.to_vec().to_bytes();
-        let sum = frame_checksum(PAGE_SEED, self.rank, b as i64, version, &payload);
-        let mut blob = sum.to_le_bytes().to_vec();
-        blob.extend_from_slice(&payload);
-        blob
-    }
-
-    fn verify(&self, b: usize, version: u64, blob: &[u8]) -> bool {
-        if blob.len() < 8 {
-            return false;
-        }
-        let (sum, payload) = blob.split_at(8);
-        let expect = frame_checksum(PAGE_SEED, self.rank, b as i64, version, payload);
-        u64::from_le_bytes(sum.try_into().expect("8-byte checksum prefix")) == expect
-    }
-
-    /// Shadow-paging commit of `entries` as the new content of page `b`.
+    /// Shadow-paging commit of bucket `b` as the new content of page `b`.
     /// Returns false when no verified copy could be secured after retries.
-    fn write_page<D>(&mut self, b: usize, entries: &[(NodeId, D, Option<D>)]) -> bool
-    where
-        D: Clone + Wire,
-    {
+    fn write_page<D: Wire>(&mut self, table: &NodeTable<D>, b: usize) -> bool {
+        // The payload does not depend on the version, so it is encoded
+        // once, behind a reserved checksum prefix each round re-stamps.
+        let mut image = std::mem::take(&mut self.image);
+        image.clear();
+        image.extend_from_slice(&[0; 8]);
+        table.encode_bucket(b, &mut image);
+        let committed = self.commit(b, &mut image);
+        self.image = image;
+        committed
+    }
+
+    fn commit(&mut self, b: usize, image: &mut [u8]) -> bool {
         for round in 0..=MAX_IO_RETRIES {
             // A fresh version every round: read rot is sticky per stored
             // version, so re-trying a failed version could never converge.
             let v = self.next_version;
             self.next_version += 1;
             let target = 1 - self.active[b];
-            let blob = self.blob(b, v, entries);
-            if self.disk.write(b as u64, target as u64, v, &blob).is_err() {
+            let (sum, payload) = image.split_at_mut(8);
+            sum.copy_from_slice(&page_checksum(self.rank, b, v, payload).to_le_bytes());
+            if self.disk.write(b as u64, target as u64, v, image).is_err() {
                 self.retry_backoff(round);
                 continue;
             }
             // Read-back verification before the pointer flip: the only
             // way an acknowledged-but-torn write can be caught.
-            match self.read_back(b, target, v, &blob) {
+            match self.read_back(b, target, v, image) {
                 Some(true) => {
                     self.active[b] = target;
                     self.version[b] = v;
-                    self.mirror(b, v, &blob);
+                    self.mirror(b, v, image);
                     return true;
                 }
                 Some(false) => {
@@ -654,10 +680,10 @@ impl Pager {
 
     /// Re-read a just-written slot, comparing raw bytes. `Some(ok)` when a
     /// read succeeded, `None` when transient errors exhausted the retries.
-    fn read_back(&mut self, b: usize, slot: u8, version: u64, blob: &[u8]) -> Option<bool> {
+    fn read_back(&mut self, b: usize, slot: u8, version: u64, image: &[u8]) -> Option<bool> {
         for attempt in 0..=MAX_IO_RETRIES {
-            match self.disk.read(b as u64, slot as u64) {
-                Ok(Some((v, bytes))) => return Some(v == version && bytes == blob),
+            match self.disk.read_ref(b as u64, slot as u64) {
+                Ok(Some((v, bytes))) => return Some(v == version && *bytes == *image),
                 Ok(None) => return Some(false),
                 Err(_) => self.retry_backoff(attempt),
             }
@@ -667,18 +693,18 @@ impl Pager {
 
     /// Best-effort copy of a committed blob onto the other slot, verified,
     /// so the page ends the commit with two independent copies.
-    fn mirror(&mut self, b: usize, version: u64, blob: &[u8]) {
+    fn mirror(&mut self, b: usize, version: u64, image: &[u8]) {
         let other = 1 - self.active[b];
         for attempt in 0..=MAX_IO_RETRIES {
             if self
                 .disk
-                .write(b as u64, other as u64, version, blob)
+                .write(b as u64, other as u64, version, image)
                 .is_err()
             {
                 self.retry_backoff(attempt);
                 continue;
             }
-            match self.read_back(b, other, version, blob) {
+            match self.read_back(b, other, version, image) {
                 Some(true) => return,
                 _ => self.retry_backoff(attempt),
             }
@@ -692,23 +718,17 @@ impl Pager {
         self.pending += self.backoff * (1u64 << attempt.min(10)) as f64;
     }
 
-    /// Read and verify page `b`, escalating primary → shadow slot.
-    fn read_page<D>(&mut self, b: usize) -> PageRead<D>
-    where
-        D: Clone + Wire,
-    {
+    /// Read, verify and install page `b`, escalating primary → shadow
+    /// slot.
+    fn read_page<D: Wire>(&mut self, table: &mut NodeTable<D>, b: usize) -> PageRead {
         let expect = self.version[b];
         if expect == 0 || !self.on_disk[b] {
             // Never committed: the page is genuinely empty.
-            return PageRead::Good {
-                entries: Vec::new(),
-                from_shadow: false,
-            };
+            return PageRead::Good { from_shadow: false };
         }
         for (nth, slot) in [self.active[b], 1 - self.active[b]].into_iter().enumerate() {
-            if let Some(entries) = self.read_slot::<D>(b, slot, expect) {
+            if self.read_slot(table, b, slot, expect) {
                 return PageRead::Good {
-                    entries,
                     from_shadow: nth == 1,
                 };
             }
@@ -716,34 +736,47 @@ impl Pager {
         PageRead::Lost
     }
 
-    /// One slot's verified entries, or `None` (wrong version, checksum
-    /// failure, undecodable payload, or transient errors past the retry
-    /// budget).
-    fn read_slot<D>(
+    /// Install one slot's verified entries, decoded straight from the
+    /// disk's stored image. False (bucket left empty) on a wrong version,
+    /// a checksum failure, an undecodable payload, or transient errors past
+    /// the retry budget.
+    fn read_slot<D: Wire>(
         &mut self,
+        table: &mut NodeTable<D>,
         b: usize,
         slot: u8,
         expect: u64,
-    ) -> Option<Vec<(NodeId, D, Option<D>)>>
-    where
-        D: Clone + Wire,
-    {
+    ) -> bool {
         for attempt in 0..=MAX_IO_RETRIES {
-            match self.disk.read(b as u64, slot as u64) {
+            match self.disk.read_ref(b as u64, slot as u64) {
                 Ok(Some((v, bytes))) => {
-                    if v != expect || !self.verify(b, expect, &bytes) {
-                        // Stale or rotten — and rot is sticky, so another
-                        // attempt on this slot cannot help.
-                        return None;
-                    }
-                    return Vec::<(NodeId, D, Option<D>)>::from_bytes(&bytes[8..]).ok();
+                    // A stale or rotten copy fails here — and rot is
+                    // sticky, so another attempt on this slot cannot help.
+                    return v == expect
+                        && verify(self.rank, b, expect, &bytes)
+                        && table.install_image(b, &bytes[8..]).is_ok();
                 }
-                Ok(None) => return None,
+                Ok(None) => return false,
                 Err(_) => self.retry_backoff(attempt),
             }
         }
-        None
+        false
     }
+}
+
+/// The checksum prefix of page `b`'s image at `version` on `rank`'s disk.
+/// Keyed by the version, not the slot, so the mirror copy verifies with
+/// the same arithmetic as the primary.
+fn page_checksum(rank: usize, b: usize, version: u64, payload: &[u8]) -> u64 {
+    frame_checksum(PAGE_SEED, rank, b as i64, version, payload)
+}
+
+/// Whether `image` is a well-formed page image of page `b` at `version`.
+fn verify(rank: usize, b: usize, version: u64, image: &[u8]) -> bool {
+    let Some((sum, payload)) = image.split_first_chunk::<8>() else {
+        return false;
+    };
+    u64::from_le_bytes(*sum) == page_checksum(rank, b, version, payload)
 }
 
 #[cfg(test)]

@@ -916,16 +916,19 @@ mod tests {
         let s = &mut stores[0];
         let b = s.table.bucket_index(s.peripheral.get(0).id);
         // The page comes back as written: hints stay exact.
-        let page = s.table.take_bucket(b);
-        s.table.install_bucket(b, page);
+        let mut image = Vec::new();
+        s.table.encode_bucket(b, &mut image);
+        s.table.drop_bucket(b);
+        s.table.install_image(b, &image).unwrap();
         assert_hinted_access_is_exact(s);
         // The page comes back from a damaged copy without its first entry:
         // every hint into the page is now one past its entry, and the lost
         // entry must read as missing rather than as its successor.
-        let mut page = s.table.take_bucket(b);
+        let mut page = Vec::<(NodeId, i64, Option<i64>)>::from_bytes(&image).unwrap();
         assert!(page.len() > 1, "test needs a chain");
         page.remove(0);
-        s.table.install_bucket(b, page);
+        s.table.drop_bucket(b);
+        s.table.install_image(b, &page.to_bytes()).unwrap();
         assert_hinted_access_is_exact(s);
     }
 

@@ -30,7 +30,8 @@
 //!   Only rewriting a fresh version restores the slot.
 
 use crate::faults::{DiskFault, FaultPlan};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Virtual-time cost model for one disk: a fixed per-operation seek plus a
 /// per-byte transfer charge, accumulated into [`VirtualDisk::take_seconds`]
@@ -98,10 +99,16 @@ pub struct DiskCounters {
     pub read_rots: u64,
 }
 
+/// Slots per page: the primary and the shadow copy of shadow paging.
+pub const SLOTS_PER_PAGE: u64 = 2;
+
 #[derive(Debug, Clone)]
 struct Slot {
     version: u64,
-    bytes: Vec<u8>,
+    /// The stored image, exactly as long as the write that stored it.
+    /// Immutable once stored: the page's two slots share one buffer when
+    /// they hold the same bytes, and a rewrite replaces the buffer.
+    bytes: Arc<[u8]>,
     /// Reads served so far — the per-read salt for rot decisions.
     reads: u64,
     /// Latched on the first rot hit: the blob has decayed for good.
@@ -114,7 +121,10 @@ pub struct VirtualDisk {
     rank: usize,
     plan: FaultPlan,
     timing: DiskTiming,
-    slots: BTreeMap<(u64, u64), Slot>,
+    /// Slot `(page, slot)` at index `page * SLOTS_PER_PAGE + slot`; `None`
+    /// until first written. Pages are dense small integers (the platform
+    /// uses hash-bucket indices), so a flat vector is the whole directory.
+    slots: Vec<Option<Slot>>,
     /// Monotonic operation number, the per-attempt salt for fault
     /// decisions. The platform's operation sequence is deterministic per
     /// rank, so this plays the role message sequence numbers play on the
@@ -125,6 +135,11 @@ pub struct VirtualDisk {
     counters: DiskCounters,
 }
 
+fn slot_index(page: u64, slot: u64) -> usize {
+    assert!(slot < SLOTS_PER_PAGE, "slot {slot} out of range");
+    (page * SLOTS_PER_PAGE + slot) as usize
+}
+
 impl VirtualDisk {
     /// A fresh, empty disk for `rank`, misbehaving per `plan`.
     pub fn new(rank: usize, plan: FaultPlan, timing: DiskTiming) -> Self {
@@ -132,7 +147,7 @@ impl VirtualDisk {
             rank,
             plan,
             timing,
-            slots: BTreeMap::new(),
+            slots: Vec::new(),
             ops: 0,
             pending: 0.0,
             counters: DiskCounters::default(),
@@ -143,6 +158,9 @@ impl VirtualDisk {
     /// previous content of that slot. Transient and disk-full failures
     /// leave the slot untouched; an acknowledged write may still land torn
     /// (one stored bit flipped) — only a read-back check can tell.
+    ///
+    /// # Panics
+    /// Panics if `slot` is not below [`SLOTS_PER_PAGE`].
     pub fn write(
         &mut self,
         page: u64,
@@ -150,6 +168,7 @@ impl VirtualDisk {
         version: u64,
         bytes: &[u8],
     ) -> Result<(), DiskError> {
+        let idx = slot_index(page, slot);
         let n = self.next_op();
         self.pending += self.timing.seek_seconds + bytes.len() as f64 * self.timing.byte_seconds;
         let plan = &self.plan;
@@ -161,10 +180,12 @@ impl VirtualDisk {
             self.counters.full_rejections += 1;
             return Err(DiskError::Full);
         }
-        let mut stored = bytes.to_vec();
-        if !stored.is_empty()
-            && plan.disk_fault_hits(self.rank, DiskFault::TornWrite, page, slot, version, n)
-        {
+        if idx >= self.slots.len() {
+            self.slots.resize_with(idx + 1, || None);
+        }
+        let torn = !bytes.is_empty()
+            && plan.disk_fault_hits(self.rank, DiskFault::TornWrite, page, slot, version, n);
+        let stored: Arc<[u8]> = if torn {
             let bit = plan.disk_fault_bit(
                 self.rank,
                 DiskFault::TornWrite,
@@ -172,33 +193,51 @@ impl VirtualDisk {
                 slot,
                 version,
                 n,
-                stored.len() as u64 * 8,
+                bytes.len() as u64 * 8,
             );
-            stored[(bit / 8) as usize] ^= 1 << (bit % 8);
+            let mut damaged = bytes.to_vec();
+            damaged[(bit / 8) as usize] ^= 1 << (bit % 8);
             self.counters.torn_writes += 1;
-        }
+            damaged.into()
+        } else {
+            // Writing the image the page's other slot already holds (the
+            // shadow-paging mirror) shares that slot's buffer; any other
+            // image gets a fresh, exactly-sized one.
+            let twin = slot_index(page, SLOTS_PER_PAGE - 1 - slot);
+            match self.slots.get(twin).and_then(Option::as_ref) {
+                Some(other) if *other.bytes == *bytes => Arc::clone(&other.bytes),
+                _ => Arc::from(bytes),
+            }
+        };
+        self.slots[idx] = Some(Slot {
+            version,
+            bytes: stored,
+            reads: 0,
+            rotten: false,
+        });
         self.counters.writes += 1;
         self.counters.bytes_written += bytes.len() as u64;
-        self.slots.insert(
-            (page, slot),
-            Slot {
-                version,
-                bytes: stored,
-                reads: 0,
-                rotten: false,
-            },
-        );
         Ok(())
     }
 
-    /// Read `(page, slot)`: `Ok(None)` if never written, otherwise the
-    /// stored version and bytes — possibly decayed by sticky read rot.
-    /// Transient failures charge the seek but return nothing.
-    pub fn read(&mut self, page: u64, slot: u64) -> Result<Option<(u64, Vec<u8>)>, DiskError> {
+    /// Read `(page, slot)` in place: `Ok(None)` if never written, otherwise
+    /// the stored version and bytes. A healthy slot lends its stored image;
+    /// only a rotten one yields a decayed copy. Transient failures charge
+    /// the seek but return nothing.
+    ///
+    /// # Panics
+    /// Panics if `slot` is not below [`SLOTS_PER_PAGE`].
+    #[allow(clippy::type_complexity)]
+    pub fn read_ref(
+        &mut self,
+        page: u64,
+        slot: u64,
+    ) -> Result<Option<(u64, Cow<'_, [u8]>)>, DiskError> {
+        let idx = slot_index(page, slot);
         let n = self.next_op();
         self.pending += self.timing.seek_seconds;
         let rank = self.rank;
-        let Some(s) = self.slots.get_mut(&(page, slot)) else {
+        let Some(s) = self.slots.get_mut(idx).and_then(Option::as_mut) else {
             return Ok(None);
         };
         self.pending += s.bytes.len() as f64 * self.timing.byte_seconds;
@@ -225,28 +264,39 @@ impl VirtualDisk {
             self.counters.read_rots += 1;
         }
         s.reads += 1;
-        let mut out = s.bytes.clone();
-        if s.rotten {
-            // The damage itself is keyed to the stored version alone, so
-            // every read of this rotten copy decays identically.
-            let bit = self.plan.disk_fault_bit(
-                rank,
-                DiskFault::ReadRot,
-                page,
-                slot,
-                s.version,
-                0,
-                out.len() as u64 * 8,
-            );
-            out[(bit / 8) as usize] ^= 1 << (bit % 8);
+        if !s.rotten {
+            return Ok(Some((s.version, Cow::Borrowed(&s.bytes))));
         }
-        Ok(Some((s.version, out)))
+        // The damage itself is keyed to the stored version alone, so every
+        // read of this rotten copy decays identically.
+        let bit = self.plan.disk_fault_bit(
+            rank,
+            DiskFault::ReadRot,
+            page,
+            slot,
+            s.version,
+            0,
+            s.bytes.len() as u64 * 8,
+        );
+        let mut out = s.bytes.to_vec();
+        out[(bit / 8) as usize] ^= 1 << (bit % 8);
+        Ok(Some((s.version, Cow::Owned(out))))
+    }
+
+    /// [`VirtualDisk::read_ref`] into an owned buffer.
+    pub fn read(&mut self, page: u64, slot: u64) -> Result<Option<(u64, Vec<u8>)>, DiskError> {
+        Ok(self
+            .read_ref(page, slot)?
+            .map(|(version, bytes)| (version, bytes.into_owned())))
     }
 
     /// The stored version of `(page, slot)` without performing (or
     /// charging) an I/O — directory metadata, not a data read.
     pub fn version_of(&self, page: u64, slot: u64) -> Option<u64> {
-        self.slots.get(&(page, slot)).map(|s| s.version)
+        self.slots
+            .get(slot_index(page, slot))?
+            .as_ref()
+            .map(|s| s.version)
     }
 
     /// Drop every stored blob (a reformat after catastrophic recovery).
@@ -386,6 +436,128 @@ mod tests {
         assert_eq!(v, 5);
         assert_ne!(rewritten, payload.to_vec(), "p=1.0 rot hits every version");
         assert_eq!(d.counters().read_rots, 2);
+    }
+
+    #[test]
+    fn a_shorter_image_over_a_longer_one_reads_back_exactly() {
+        let mut d = clean_disk();
+        let long: Vec<u8> = (0..100).collect();
+        d.write(4, 1, 1, &long).unwrap();
+        d.write(4, 1, 2, &[7; 10]).unwrap();
+        assert_eq!(
+            d.read(4, 1).unwrap(),
+            Some((2, vec![7; 10])),
+            "no stale tail"
+        );
+        d.write(4, 1, 3, &long).unwrap();
+        assert_eq!(d.read(4, 1).unwrap(), Some((3, long.clone())));
+        d.write(4, 1, 4, &[]).unwrap();
+        assert_eq!(d.read(4, 1).unwrap(), Some((4, vec![])));
+        // The neighbouring slot and page are untouched throughout.
+        assert_eq!(d.read(4, 0).unwrap(), None);
+        assert_eq!(d.read(3, 1).unwrap(), None);
+    }
+
+    #[test]
+    fn torn_writes_into_reused_and_shared_slots_are_still_caught_by_read_back() {
+        let plan = FaultPlan::new(5).with_disk_fault(0, DiskFault::TornWrite, 0.3);
+        let mut d = VirtualDisk::new(0, plan, DiskTiming::default());
+        let mut caught = 0;
+        for v in 1..=200u64 {
+            // Every round rewrites both slots of one page with one image,
+            // as a commit and its mirror do: the second write would share
+            // the first one's buffer, so a tear in either copy must stay
+            // in that copy.
+            let image: Vec<u8> = (0..48).map(|i| (v as u8).wrapping_mul(31) ^ i).collect();
+            let mut written = [Vec::new(), Vec::new()];
+            for slot in [v % 2, 1 - v % 2] {
+                d.write(9, slot, v, &image).unwrap();
+                let (version, back) = d.read(9, slot).unwrap().unwrap();
+                assert_eq!(version, v);
+                written[slot as usize] = back.clone();
+                if back != image {
+                    caught += 1;
+                    let flipped: u32 = back
+                        .iter()
+                        .zip(&image)
+                        .map(|(x, y)| (x ^ y).count_ones())
+                        .sum();
+                    assert_eq!(flipped, 1, "a torn write flips exactly one bit");
+                }
+            }
+            // Writing the twin changed neither copy: each still reads as
+            // it did right after its own write.
+            for slot in [0, 1] {
+                assert_eq!(d.read(9, slot).unwrap().unwrap().1, written[slot as usize]);
+            }
+        }
+        assert_eq!(caught, d.counters().torn_writes, "every torn write is seen");
+        assert!(caught > 1, "p=0.3 must tear some rewrites of the page");
+    }
+
+    #[test]
+    fn a_rewrite_clears_a_rotten_slot() {
+        let plan = FaultPlan::new(17).with_disk_fault(0, DiskFault::ReadRot, 0.5);
+        let mut d = VirtualDisk::new(0, plan, DiskTiming::default());
+        let image = [0x5Au8; 24];
+        let mut version = 1;
+        d.write(1, 1, version, &image).unwrap();
+        while d.read(1, 1).unwrap().unwrap().1 == image {
+            version += 1;
+            d.write(1, 1, version, &image).unwrap();
+        }
+        let rotten = d.read(1, 1).unwrap().unwrap().1;
+        assert_ne!(rotten, image, "rot is sticky until a rewrite");
+        // The first rewrite whose fresh rot decision spares it must read
+        // back clean.
+        let mut healed = false;
+        for _ in 0..64 {
+            version += 1;
+            d.write(1, 1, version, &image).unwrap();
+            if d.read(1, 1).unwrap() == Some((version, image.to_vec())) {
+                healed = true;
+                break;
+            }
+        }
+        assert!(healed, "a rewrite must be able to clear the rot");
+    }
+
+    #[test]
+    fn borrowing_and_owned_reads_agree_under_every_fault() {
+        let plan = FaultPlan::new(29)
+            .with_disk_fault(0, DiskFault::TornWrite, 0.1)
+            .with_disk_fault(0, DiskFault::ReadRot, 0.05)
+            .with_disk_fault(0, DiskFault::TransientError, 0.1)
+            .with_disk_fault(0, DiskFault::Full, 0.05);
+        let mut owned = VirtualDisk::new(0, plan.clone(), DiskTiming::default());
+        let mut borrowed = VirtualDisk::new(0, plan, DiskTiming::default());
+        let mut rng = ic2_rng::SplitMix64::new(1234);
+        for op in 0..1000u64 {
+            let page = rng.below(6);
+            let slot = rng.below(SLOTS_PER_PAGE);
+            if rng.below(3) == 0 {
+                let len = rng.below(40) as usize;
+                let image: Vec<u8> = (0..len).map(|i| (op as u8) ^ (i as u8)).collect();
+                assert_eq!(
+                    owned.write(page, slot, op, &image),
+                    borrowed.write(page, slot, op, &image),
+                    "op {op}"
+                );
+            } else {
+                let a = owned.read(page, slot);
+                let b = borrowed
+                    .read_ref(page, slot)
+                    .map(|r| r.map(|(v, bytes)| (v, bytes.to_vec())));
+                assert_eq!(a, b, "op {op}");
+            }
+            assert_eq!(owned.take_seconds(), borrowed.take_seconds(), "op {op}");
+            assert_eq!(owned.counters(), borrowed.counters(), "op {op}");
+        }
+        let c = owned.counters();
+        assert!(
+            c.torn_writes > 0 && c.read_rots > 0 && c.transient_errors > 0 && c.full_rejections > 0,
+            "every fault kind must strike: {c:?}"
+        );
     }
 
     #[test]

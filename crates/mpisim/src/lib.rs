@@ -52,7 +52,7 @@ pub mod wire;
 pub mod world;
 
 pub use comm::{Died, Rank, RetryPolicy, Tag, ANY_SOURCE};
-pub use disk::{DiskCounters, DiskError, DiskTiming, VirtualDisk};
+pub use disk::{DiskCounters, DiskError, DiskTiming, VirtualDisk, SLOTS_PER_PAGE};
 pub use faults::{DiskFault, FaultDecision, FaultPlan, FaultPlanError, MemRegion, PartitionSpec};
 pub use mailbox::Envelope;
 pub use net::{NetModel, TimingMode};

@@ -11,6 +11,22 @@
 use ic2_rng::mix64;
 use std::fmt;
 
+/// Words of payload whose per-index mix [`frame_checksum`] reads from a
+/// table built at compile time: 4 KiB, more than a page image of a few
+/// dozen entries. Later words mix their index on the fly.
+const WORD_MIXES: usize = 512;
+
+/// `mix64(i)` for every word index below [`WORD_MIXES`].
+static WORD_MIX: [u64; WORD_MIXES] = {
+    let mut table = [0u64; WORD_MIXES];
+    let mut i = 0;
+    while i < WORD_MIXES {
+        table[i] = mix64(i as u64);
+        i += 1;
+    }
+    table
+};
+
 /// Seeded 64-bit checksum over one framed payload.
 ///
 /// Every data-plane envelope carries `frame_checksum(seed, src, tag, seq,
@@ -28,10 +44,19 @@ pub fn frame_checksum(seed: u64, src: usize, tag: i64, seq: u64, bytes: &[u8]) -
     h = mix64(h ^ tag as u64);
     h = mix64(h ^ seq);
     h = mix64(h ^ bytes.len() as u64);
-    for (i, chunk) in bytes.chunks(8).enumerate() {
+    let word_mix = |i: usize| WORD_MIX.get(i).copied().unwrap_or_else(|| mix64(i as u64));
+    let mut words = bytes.chunks_exact(8);
+    let mut i = 0;
+    for word in words.by_ref() {
+        let word = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+        h = mix64(h ^ word ^ word_mix(i));
+        i += 1;
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
         let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        h = mix64(h ^ u64::from_le_bytes(word) ^ mix64(i as u64));
+        word[..tail.len()].copy_from_slice(tail);
+        h = mix64(h ^ u64::from_le_bytes(word) ^ word_mix(i));
     }
     h
 }
@@ -96,8 +121,11 @@ macro_rules! wire_num {
                 out.extend_from_slice(&self.to_le_bytes());
             }
             fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-                let bytes = take(buf, std::mem::size_of::<$t>(), concat!("truncated ", stringify!($t)))?;
-                Ok(<$t>::from_le_bytes(bytes.try_into().unwrap()))
+                let (bytes, rest) = buf
+                    .split_first_chunk::<{ std::mem::size_of::<$t>() }>()
+                    .ok_or(WireError { what: concat!("truncated ", stringify!($t)) })?;
+                *buf = rest;
+                Ok(<$t>::from_le_bytes(*bytes))
             }
         }
     )*};
@@ -180,7 +208,10 @@ impl<T: Wire> Wire for Option<T> {
         }
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let tag = take(buf, 1, "truncated Option tag")?[0];
+        let (&tag, rest) = buf.split_first().ok_or(WireError {
+            what: "truncated Option tag",
+        })?;
+        *buf = rest;
         match tag {
             0 => Ok(None),
             1 => Ok(Some(T::decode(buf)?)),
@@ -352,6 +383,48 @@ mod tests {
             frame_checksum(42, 1, 7, 3, &[]),
             frame_checksum(42, 1, 7, 4, &[])
         );
+    }
+
+    /// The byte-chunked loop [`frame_checksum`] used before its word
+    /// mixes were tabulated: the reference the fast path must equal.
+    fn reference_checksum(seed: u64, src: usize, tag: i64, seq: u64, bytes: &[u8]) -> u64 {
+        let mut h = mix64(seed ^ 0xa076_1d64_78bd_642f);
+        h = mix64(h ^ src as u64);
+        h = mix64(h ^ tag as u64);
+        h = mix64(h ^ seq);
+        h = mix64(h ^ bytes.len() as u64);
+        for (i, chunk) in bytes.chunks(8).enumerate() {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            h = mix64(h ^ u64::from_le_bytes(word) ^ mix64(i as u64));
+        }
+        h
+    }
+
+    #[test]
+    fn frame_checksum_equals_the_reference_loop_at_every_length() {
+        // Every length from empty to well past the tabulated word mixes,
+        // including every length that is not a multiple of 8.
+        let longest = WORD_MIXES * 8 + 100;
+        let payload: Vec<u8> = (0..longest as u64)
+            .map(|i| (mix64(i) >> 56) as u8)
+            .collect();
+        for len in 0..=longest {
+            let bytes = &payload[..len];
+            assert_eq!(
+                frame_checksum(42, 3, -7, len as u64, bytes),
+                reference_checksum(42, 3, -7, len as u64, bytes),
+                "length {len}"
+            );
+        }
+        // Unaligned starts take the same path.
+        for start in 1..8 {
+            let bytes = &payload[start..start + 1000];
+            assert_eq!(
+                frame_checksum(9, 0, 1, 2, bytes),
+                reference_checksum(9, 0, 1, 2, bytes)
+            );
+        }
     }
 
     #[test]
